@@ -25,8 +25,8 @@ import numpy as np
 
 from . import cone, diagram, exchange, protocol, sumsets, thermal
 from .dilation import build_energy_preserving_dilation
-from .errors import DomainError, ThermoconeError, ValidationError
-from .system import Macrostate, cone_point_of, hamiltonian_from_json, state_from_json
+from .errors import ThermoconeError, ValidationError
+from .system import Macrostate, as_number, cone_point_of, hamiltonian_from_json, state_from_json
 
 __all__ = ["main", "emit"]
 
@@ -95,7 +95,7 @@ def _hamiltonian(args):
 def _macro(value: str) -> Macrostate:
     data = _load_json_arg(value)
     try:
-        return Macrostate(float(data["E"]), float(data["S"]))
+        return Macrostate(as_number(data["E"], "E"), as_number(data["S"], "S"))
     except (KeyError, TypeError) as exc:
         raise ValidationError("bad-macro-json", f"macrostate needs E and S: {exc}") from exc
 
@@ -104,7 +104,7 @@ def _distribution(value: str) -> protocol.Distribution:
     data = _load_json_arg(value)
     if not isinstance(data, list):
         raise ValidationError("bad-distribution-json", "distribution must be a JSON array")
-    return protocol.Distribution(tuple(float(x) for x in data))
+    return protocol.Distribution(tuple(as_number(x, "distribution entry") for x in data))
 
 
 def _complex_matrix(data) -> np.ndarray:
@@ -405,15 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
-        return 2
-    except DomainError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
-        return 1
     except ThermoconeError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

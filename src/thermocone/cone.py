@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagram import DEFAULT_BOUNDARY_TOL, Verdict, diagram_contains
+from .diagram import DEFAULT_BOUNDARY_TOL, Verdict, check_tolerance, diagram_contains
 from .errors import DomainError
 from .numerics import minimize_scalar
 from .system import ConePoint, HamiltonianSpec, Macrostate
@@ -58,6 +58,7 @@ def cone_contains(h: HamiltonianSpec, y: ConePoint, tol: float = DEFAULT_BOUNDAR
     the apex; otherwise the point is normalized and tested against the
     diagram.
     """
+    check_tolerance(tol)
     if y.size < -tol:
         return Verdict.OUTSIDE
     if abs(y.size) <= tol:
@@ -104,7 +105,9 @@ def r_max(
     tol: float = 1e-8,
     grid_size: int = _TANH_GRID_SIZE,
 ) -> RateResult:
-    """Maximal conversion rate from rho to sigma, by both algorithms."""
+    """Maximal conversion rate from rho to sigma, by both algorithms;
+    ``tol`` (> 0) is the relative width at which the bisection stops."""
+    check_tolerance(tol, positive=True)
     scale = max(1.0, abs(y_rho.size), abs(y_sigma.size))
     if max(abs(y_sigma.energy), abs(y_sigma.entropy), abs(y_sigma.size)) <= 1e-15 * scale:
         raise DomainError("zero-target", "target point is zero; the rate is unbounded")

@@ -48,6 +48,13 @@ class Verdict(str, Enum):
         return self is not Verdict.OUTSIDE
 
 
+def check_tolerance(tol: float, positive: bool = False) -> None:
+    """Raise ``ValidationError`` unless ``tol`` is finite and >= 0 (> 0 if ``positive``)."""
+    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValidationError("bad-tolerance", f"tolerance must be finite and {bound}, got {tol}")
+
+
 def athermality(h: HamiltonianSpec, x: Macrostate, beta: float) -> float:
     """A_beta(x) = beta*x_E - x_S + log Z_beta; zero on the thermal point,
     nonnegative on every achievable macrostate, linear in x."""
@@ -79,6 +86,7 @@ def diagram_contains(
     Points within ``tol`` (absolute, per coordinate) of any bound are
     reported as BOUNDARY; both INSIDE and BOUNDARY count as members.
     """
+    check_tolerance(tol)
     if x.energy < h.e_min - tol or x.energy > h.e_max + tol:
         return Verdict.OUTSIDE
     if x.entropy < -tol:

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 
 _EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
@@ -47,59 +48,12 @@ def as_hermitian_matrix(m, tol: float = 1e-12) -> np.ndarray:
             "not-hermitian",
             f"entry ({i},{j})={a[i, j]:.6g} is not the conjugate of ({j},{i})={a[j, i]:.6g}",
         )
-    d = np.abs(a.diagonal().imag)
-    if d.size and float(d.max()) > tol * scale:
-        i = int(np.argmax(d))
-        raise ValidationError("not-hermitian", f"diagonal entry ({i},{i}) has imaginary part {a[i, i].imag:.3g}")
     return 0.5 * (a + a.conj().T)
 
 
 def eigvals_hermitian(m) -> list[float]:
-    """Eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi.
-
-    Each sweep annihilates every off-diagonal pair with a phased 2x2
-    rotation; sweeps repeat until the off-diagonal Frobenius norm drops
-    below 1e-13 times the matrix norm. Adequate for dimension <= 64.
-    """
-    a = as_hermitian_matrix(m).copy()
-    d = a.shape[0]
-    if d == 1:
-        return [float(a[0, 0].real)]
-
-    norm = float(np.linalg.norm(a))
-    threshold = 1e-13 * max(norm, np.finfo(float).tiny)
-    for _ in range(100):
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        if float(np.linalg.norm(off)) < threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                w = a[p, q]
-                b = abs(w)
-                if b <= threshold / (10.0 * d):
-                    continue
-                phase = w / b
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (app - aqq) / (2.0 * b)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0)) if tau != 0.0 else 1.0
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                # column op: G = phase-fold on q then real rotation on (p, q)
-                col_p = a[:, p].copy()
-                col_q = a[:, q] * np.conj(phase)
-                a[:, p] = c * col_p + s * col_q
-                a[:, q] = -s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :] * phase
-                a[p, :] = c * row_p + s * row_q
-                a[q, :] = -s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise DomainError("no-convergence", "Jacobi sweep limit reached without convergence")
-    return sorted(float(x) for x in a.diagonal().real)
+    """Eigenvalues of a Hermitian matrix, ascending (LAPACK ``eigvalsh``)."""
+    return [float(x) for x in np.linalg.eigvalsh(as_hermitian_matrix(m))]
 
 
 @dataclass(frozen=True)
@@ -119,27 +73,43 @@ class Bracket:
             raise ValidationError("bad-bracket", "tolerance must be positive")
 
 
-def solve_root_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
-    """Root of ``f`` inside ``bracket`` by bisection with secant acceleration.
+def solve_root_bracketed(
+    f: Callable, bracket: Bracket, derivative: bool = False, x0: Optional[float] = None
+) -> float:
+    """Root of ``f`` inside ``bracket``.
 
-    Requires a sign change (or an exact zero) on the endpoints. The secant
-    step is taken whenever it lands strictly inside the current interval;
-    otherwise the interval is bisected, so the 200-iteration cap is never
-    binding in practice.
+    Requires a sign change (or an exact zero) on the endpoints. By default
+    ``f`` returns f(x) and the solver bisects with secant acceleration:
+    the secant step is taken whenever it lands strictly inside the current
+    interval; otherwise the interval is bisected, so the 200-iteration cap
+    is never binding in practice.
+
+    With ``derivative=True``, ``f`` returns (f(x), f'(x)) and the solver
+    takes Newton steps from ``x0``, clamped to the bracket (default: the
+    endpoint with the smaller |f|). A step that leaves the bracket, or follows one that failed to
+    halve |f|, becomes a bisection; one that follows a same-sign step that
+    cut |f| less than tenfold is doubled. It stops at a step below the
+    tolerance, or when a rounding-size step fails to halve |f|.
     """
     a, b = bracket.lo, bracket.hi
-    fa, fb = float(f(a)), float(f(b))
+    ya, yb = f(a), f(b)
+    fa, fb = (float(ya[0]), float(yb[0])) if derivative else (float(ya), float(yb))
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if (fa > 0) == (fb > 0):
         raise DomainError("bad-bracket-signs", f"f({a})={fa:.6g} and f({b})={fb:.6g} have the same sign")
+    tol = max(bracket.tolerance, 4.0 * _EPS * max(1.0, abs(a), abs(b)))
+    if derivative:
+        x0 = (a if abs(fa) <= abs(fb) else b) if x0 is None else min(max(x0, a), b)
+        y0 = ya if x0 == a else yb if x0 == b else f(x0)
+        return _newton(f, (a, b) if fa < 0 else (b, a), x0, y0, tol)
 
     widths = [b - a, b - a]
     for _ in range(200):
         width = b - a
-        if width <= max(bracket.tolerance, 4.0 * _EPS * max(1.0, abs(a), abs(b))):
+        if width <= tol:
             break
         # secant step, but force a bisection whenever the bracket failed
         # to halve over the last two steps; plain secant can stagnate on
@@ -159,6 +129,41 @@ def solve_root_bracketed(f: Callable[[float], float], bracket: Bracket) -> float
         else:
             b, fb = x, fx
     return a if abs(fa) <= abs(fb) else b
+
+
+def _newton(f, signs: tuple[float, float], x: float, y, tol: float) -> float:
+    """Safeguarded Newton iteration from ``x`` with (f, f') = ``y``;
+    ``signs`` holds the bracket ends where f < 0 and f > 0, in that order."""
+    neg, pos = signs
+    fx, dfx = map(float, y)
+    # f where the last Newton step began (nan after a bisection), and its length
+    f_from, step = math.nan, math.inf
+    for _ in range(200):
+        lo, hi = sorted((neg, pos))
+        newton = math.isfinite(fx) and math.isfinite(dfx) and dfx != 0.0
+        if newton and abs(fx) > 0.5 * abs(f_from):
+            if step <= _SQRT_EPS * max(1.0, abs(x)):
+                break  # a rounding-size step left |f| where it was: noise floor
+            newton = False
+        if newton:
+            dx = -fx / dfx
+            if fx * f_from > 0.0 and abs(fx) > 0.1 * abs(f_from) and lo <= x + 2.0 * dx <= hi:
+                dx *= 2.0  # Newton is creeping along a bending curve
+            newton = lo <= x + dx <= hi
+        if newton:
+            x, step, f_from = x + dx, abs(dx), fx
+        else:
+            x, step, f_from = 0.5 * (lo + hi), 0.5 * (hi - lo), math.nan
+        if step <= tol:
+            break
+        fx, dfx = map(float, f(x))
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            neg = x
+        else:
+            pos = x
+    return x
 
 
 def minimize_scalar(

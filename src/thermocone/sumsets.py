@@ -112,13 +112,13 @@ def find_doubling_k(l: LevelSet, delta: float, k_max: int) -> tuple[int, float, 
     current = l
     for k in range(1, k_max + 1):
         sizes.append(len(current))
-        plus = len(minkowski_sum(current, l))
-        minus = len(minkowski_diff(current, l))
-        ratio = max(plus, minus) / len(current)
-        if found is None and ratio <= 1.0 + delta:
+        plus = minkowski_sum(current, l)
+        minus = minkowski_diff(current, l)
+        ratio = max(len(plus), len(minus)) / len(current)
+        if ratio <= 1.0 + delta:
             found = (k, ratio)
             break
-        current = minkowski_sum(current, l)
+        current = plus
 
     ks = np.arange(1, len(sizes) + 1, dtype=float)
     if len(sizes) >= 2 and sizes[-1] > sizes[0]:

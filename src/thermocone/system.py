@@ -23,6 +23,7 @@ from .errors import DomainError, ValidationError
 from .numerics import as_hermitian_matrix, eigvals_hermitian
 
 __all__ = [
+    "as_number",
     "HamiltonianSpec",
     "Macrostate",
     "ConePoint",
@@ -35,6 +36,14 @@ __all__ = [
 ]
 
 
+def as_number(value, field: str) -> float:
+    """``float(value)``; a non-number (say, a decoded JSON string) raises ``ValidationError``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("bad-number", f"{field} must be a number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Energy levels with degeneracies, strictly ascending in energy."""
@@ -44,14 +53,13 @@ class HamiltonianSpec:
     def __post_init__(self):
         if not self.levels:
             raise ValidationError("empty-hamiltonian", "need at least one energy level")
-        object.__setattr__(
-            self, "levels", tuple((float(e), int(g)) for e, g in self.levels)
-        )
-        for e, g in self.levels:
+        levels = tuple((as_number(e, "level energy"), as_number(g, "degeneracy")) for e, g in self.levels)
+        for e, g in levels:
             if not math.isfinite(e):
                 raise ValidationError("bad-level", f"non-finite level energy {e}")
-            if g < 1:
-                raise ValidationError("bad-level", f"degeneracy must be >= 1, got {g}")
+            if not (g.is_integer() and g >= 1):
+                raise ValidationError("bad-level", f"degeneracy must be a whole number >= 1, got {g}")
+        object.__setattr__(self, "levels", tuple((e, int(g)) for e, g in levels))
         es = [e for e, _ in self.levels]
         if any(b <= a for a, b in zip(es, es[1:])):
             raise ValidationError("bad-level", "level energies must be strictly ascending")
@@ -162,11 +170,12 @@ class QuantumState:
 
     @classmethod
     def from_spectrum(cls, eigenvalues: Sequence[float], energy: float, n: float = 1.0) -> "QuantumState":
-        return cls(n=n, spectrum=tuple(float(x) for x in eigenvalues), energy=float(energy))
+        spectrum = tuple(as_number(x, "spectrum entry") for x in eigenvalues)
+        return cls(n=n, spectrum=spectrum, energy=as_number(energy, "energy"))
 
     @classmethod
     def from_macro(cls, energy: float, entropy: float, n: float = 1.0) -> "QuantumState":
-        return cls(n=n, macro=Macrostate(float(energy), float(entropy)))
+        return cls(n=n, macro=Macrostate(as_number(energy, "E"), as_number(entropy, "S")))
 
     @property
     def kind(self) -> str:
@@ -192,9 +201,9 @@ def validate_state(state: QuantumState, h: HamiltonianSpec) -> QuantumState:
     """Check all representation invariants against ``h``; return a
     normalized copy.
 
-    Matrix input is reduced to spectral form (spectrum via the Jacobi
-    eigensolver, energy from the diagonal), since clipping tiny negative
-    eigenvalues is only well defined on the spectrum.
+    Matrix input is reduced to spectral form (spectrum via
+    ``eigvals_hermitian``, energy from the diagonal), since clipping tiny
+    negative eigenvalues is only well defined on the spectrum.
     """
     if state.matrix is not None:
         a = as_hermitian_matrix(state.matrix)
@@ -276,7 +285,7 @@ def state_from_json(data) -> QuantumState:
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValidationError("bad-state-json", "state must be a JSON object")
-    n = float(data.get("n", 1.0))
+    n = as_number(data.get("n", 1.0), "n")
     if "matrix" in data:
         rows = data["matrix"]
         try:
@@ -287,6 +296,8 @@ def state_from_json(data) -> QuantumState:
     if "spectrum" in data:
         if "energy" not in data:
             raise ValidationError("bad-state-json", "spectral form needs an 'energy' field")
+        if not isinstance(data["spectrum"], list):
+            raise ValidationError("bad-state-json", "spectrum must be a JSON array")
         return QuantumState.from_spectrum(data["spectrum"], data["energy"], n=n)
     if "macro" in data:
         m = data["macro"]

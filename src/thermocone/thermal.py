@@ -93,8 +93,9 @@ def thermal_point(h: HamiltonianSpec, beta: float) -> ThermalPoint:
     p = weights / z_shift
     energy = float(p @ energies)
     # per-level probability p_i spreads over g_i states: S = -sum p ln(p/g)
-    mask = p > 0.0
-    entropy = float(-(p[mask] @ np.log(p[mask] / degs[mask])))
+    per_state = p / degs  # may underflow to zero where p does not
+    mask = per_state > 0.0
+    entropy = float(-(p[mask] @ np.log(per_state[mask])))
     entropy = min(max(entropy, 0.0), h.log_dim)
     return ThermalPoint(beta=float(beta), log_z=log_z, energy=energy, entropy=entropy)
 
@@ -106,51 +107,39 @@ def _require_nondegenerate(h: HamiltonianSpec):
         )
 
 
-def _mean_energy(h: HamiltonianSpec, beta: float) -> float:
-    """Scalar E(tau_beta); math-only fast path for the inverse solvers."""
-    m = max(-beta * e for e, _ in h.levels)
-    z = num = 0.0
-    for e, g in h.levels:
-        w = g * math.exp(-beta * e - m)
-        z += w
-        num += w * e
-    return num / z
-
-
-def _entropy(h: HamiltonianSpec, beta: float) -> float:
-    """Scalar S(tau_beta); math-only fast path for the inverse solvers."""
-    m = max(-beta * e for e, _ in h.levels)
-    weights = [(g * math.exp(-beta * e - m), g) for e, g in h.levels]
-    z = sum(w for w, _ in weights)
-    s = 0.0
-    for w, g in weights:
-        p = w / z
-        if p > 0.0:
-            s -= p * math.log(p / g)
-    return s
-
-
-def _solve_decreasing(h: HamiltonianSpec, f, positive_side: bool) -> float:
-    """Root of a strictly decreasing f(beta) with f(0) on the known side,
-    expanding the bracket geometrically from 0 before solving.
-
-    positive_side means f(0) > 0, so the root lies at beta > 0.
+def _moments(h: HamiltonianSpec, beta: float) -> tuple[float, float, float]:
+    """Scalar (E - ref, S - log g_ref, Var) of tau_beta at finite beta
+    from one set of Boltzmann weights; math-only fast path for the
+    inverse solvers. ``ref`` is the plateau level on beta's side (E_min
+    for beta >= +0.0, E_max for beta <= -0.0), so both gaps are sums of
+    like-signed terms and keep full relative precision near the plateau.
     """
+    ref, g_ref = (h.e_max, h.g_top) if math.copysign(1.0, beta) < 0 else (h.e_min, h.g_ground)
+    weights = [(g * math.exp(-beta * (e - ref)), e - ref) for e, g in h.levels]
+    rest = sum(w for w, d in weights if d != 0.0)
+    z = g_ref + rest
+    rel = sum(w * d for w, d in weights) / z
+    var = sum(w * (d - rel) ** 2 for w, d in weights) / z
+    return rel, math.log1p(rest / g_ref) + beta * rel, var
+
+
+def _fold_solve(h: HamiltonianSpec, sign: float, gap, target: float, m0, x0: float) -> float:
+    """beta = sign*b solving gap(moments at beta, b) = target on
+    [0, beta_cap], where ``gap`` gives the distance of E or S from its
+    plateau and the b-derivative (``m0``: moments at b = 0). Newton steps
+    from ``x0`` act on log(gap/target), which is almost linear in b as
+    the gap decays exponentially; sign*cap if the target is not reached."""
     cap = beta_cap(h)
-    sign = 1.0 if positive_side else -1.0
-    width = 8.0 / (h.e_max - h.e_min)
-    near = 0.0
-    while width < cap:
-        far = sign * width
-        if sign * f(far) <= 0.0:
-            break
-        near, width = far, width * 4.0
-    else:
-        if sign * f(sign * cap) > 0.0:
-            return sign * cap
-        far = sign * cap
-    a, b = sorted((near, far))
-    return solve_root_bracketed(f, Bracket(a, b, tolerance=1e-14 * max(1.0, cap)))
+
+    def f(b):
+        g, slope = gap(m0 if b == 0.0 else _moments(h, sign * b), b)
+        return (math.log(g / target), slope / g) if g > 0.0 else (-math.inf, 0.0)
+
+    try:
+        b = solve_root_bracketed(f, Bracket(0.0, cap, tolerance=1e-14 * max(1.0, cap)), derivative=True, x0=x0)
+    except DomainError:
+        b = cap
+    return sign * b
 
 
 def beta_from_energy(h: HamiltonianSpec, energy: float) -> float:
@@ -164,11 +153,14 @@ def beta_from_energy(h: HamiltonianSpec, energy: float) -> float:
         raise DomainError(
             "energy-out-of-range", f"energy {energy} not strictly inside ({h.e_min}, {h.e_max})"
         )
-    f = lambda b: _mean_energy(h, b) - energy
-    f0 = f(0.0)
-    if f0 == 0.0:
+    # fold beta < 0 onto b = -beta and solve for the distance to the
+    # plateau being approached, using dE/dbeta = -Var
+    sign = 1.0 if energy < h.mixed_energy() else -1.0
+    target = sign * (energy - (h.e_min if sign > 0 else h.e_max))
+    m0 = _moments(h, sign * 0.0)
+    if sign * m0[0] <= target:
         return 0.0
-    return _solve_decreasing(h, f, positive_side=f0 > 0.0)
+    return _fold_solve(h, sign, lambda m, b: (sign * m[0], -m[2]), target, m0, 0.0)
 
 
 def beta_from_entropy(h: HamiltonianSpec, entropy: float, branch: str = "positive") -> float:
@@ -190,13 +182,18 @@ def beta_from_entropy(h: HamiltonianSpec, entropy: float, branch: str = "positiv
             "entropy-below-plateau",
             f"entropy {entropy} is at or below the {branch}-branch floor log g = {floor}",
         )
-    if entropy >= h.log_dim:
-        return 0.0
     # entropy falls off monotonically on either side of beta = 0; fold the
-    # negative branch onto the positive one and solve there
+    # negative branch onto the positive one and solve there, using
+    # dS/dbeta = -beta*Var
     sign = 1.0 if branch == "positive" else -1.0
-    f = lambda b: _entropy(h, sign * b) - entropy
-    return sign * _solve_decreasing(h, f, positive_side=True)
+    target = entropy - floor
+    m0 = _moments(h, sign * 0.0)
+    if m0[1] <= target:
+        return 0.0
+    # dS/dbeta vanishes at beta = 0, so start from the quadratic model
+    # S ~ log d - beta^2 Var(0)/2 instead of the endpoint
+    x0 = math.sqrt(2.0 * (m0[1] - target) / m0[2])
+    return _fold_solve(h, sign, lambda m, b: (m[1], -b * m[2]), target, m0, x0)
 
 
 def energy_variance(h: HamiltonianSpec, beta: float) -> float:
@@ -204,11 +201,4 @@ def energy_variance(h: HamiltonianSpec, beta: float) -> float:
     if not math.isfinite(beta):
         raise ValidationError("bad-beta", "beta must be finite")
     cap = beta_cap(h)
-    beta = min(max(beta, -cap), cap)
-    energies = h.energies()
-    w = -beta * energies
-    m = float(w.max())
-    weights = h.degeneracies() * np.exp(w - m)
-    p = weights / weights.sum()
-    mean = float(p @ energies)
-    return max(0.0, float(p @ (energies - mean) ** 2))
+    return _moments(h, min(max(beta, -cap), cap))[2]

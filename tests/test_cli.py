@@ -257,6 +257,30 @@ class TestErrorMapping:
         assert code == 2
         assert json.loads(err)["error"] == "bad-trace"
 
+    def test_nan_tolerance_exits_2(self, capsys, qubit_file):
+        code, out, err = run_cli(
+            capsys, "member", "--hamiltonian", qubit_file, "--macro", '{"E":0.5,"S":5}', "--tol", "nan"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-tolerance"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["member", "--macro", '{"E":"x","S":0.1}'],
+            ["wmax", "--rho", '{"spectrum":[0.5,0.5],"energy":0.5,"n":"abc"}'],
+        ],
+    )
+    def test_non_numeric_json_field_exits_2(self, capsys, qubit_file, argv):
+        code, out, err = run_cli(capsys, argv[0], "--hamiltonian", qubit_file, *argv[1:])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-number"
+
+    def test_non_numeric_distribution_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "coarse", "--p", '[0.5,"half"]', "--q", "[0.5,0.5]")
+        assert code == 2
+        assert json.loads(err)["error"] == "bad-number"
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -6,6 +6,7 @@ import pytest
 from thermocone import (
     ConePoint,
     DomainError,
+    ValidationError,
     QuantumState,
     Verdict,
     cone_contains,
@@ -156,3 +157,17 @@ class TestRmax:
             base = r_max(h, a, b, tol=1e-10).rate_bisect
             scaled = r_max(h, a.scaled(lam), b, tol=1e-10).rate_bisect
             assert scaled == pytest.approx(lam * base, abs=1e-8)
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_cone_contains(self, qubit, tol):
+        with pytest.raises(ValidationError) as err:
+            cone_contains(qubit, ConePoint(0.5, 0.2, 1.0), tol=tol)
+        assert err.value.code == "bad-tolerance"
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8, 0.0])
+    def test_r_max_needs_positive_tolerance(self, qubit, tol):
+        with pytest.raises(ValidationError) as err:
+            r_max(qubit, ConePoint(0.5, 0.2, 1.0), ConePoint(0.5, 0.0, 1.0), tol=tol)
+        assert err.value.code == "bad-tolerance"

@@ -5,6 +5,7 @@ import pytest
 
 from thermocone import (
     DomainError,
+    ValidationError,
     HamiltonianSpec,
     Macrostate,
     QuantumState,
@@ -93,6 +94,16 @@ class TestDiagramContains:
             for t in rng.uniform(0, 1, size=10):
                 mix = Macrostate(t * a.energy + (1 - t) * b.energy, t * a.entropy + (1 - t) * b.entropy)
                 assert diagram_contains(h, mix, tol=1e-9).is_member
+
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_rejects_bad_tolerance(self, qubit, tol):
+        with pytest.raises(ValidationError) as err:
+            diagram_contains(qubit, Macrostate(0.5, 5.0), tol=tol)
+        assert err.value.code == "bad-tolerance"
+
+    def test_zero_tolerance_allowed(self, qubit):
+        assert diagram_contains(qubit, Macrostate(0.5, 0.2), tol=0.0) is Verdict.INSIDE
 
 
 class TestFacetCheck:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermocone import Bracket, DomainError, ValidationError, eigvals_hermitian, minimize_scalar, solve_root_bracketed
 
 from frozen_values import RATE_QUBIT_EXAMPLE
+from conftest import random_unitary
 
 
 class TestEigvals:
@@ -30,6 +31,17 @@ class TestEigvals:
             eigs = eigvals_hermitian(m)
             assert abs(sum(eigs) - np.trace(m).real) <= 1e-10 * d
             assert eigs == pytest.approx(list(np.linalg.eigvalsh(m)), abs=1e-9)
+
+    def test_recovers_known_spectrum(self):
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            d = int(rng.integers(1, 9))
+            lam = np.sort(rng.uniform(-2.0, 2.0, size=d))
+            u = random_unitary(rng, d)
+            m = u @ np.diag(lam) @ u.conj().T
+            got = eigvals_hermitian(m)
+            assert isinstance(got, list) and all(isinstance(x, float) for x in got)
+            assert got == pytest.approx(list(lam), abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
@@ -82,6 +94,42 @@ class TestRootFinding:
     def test_monotone_root_recovered(self, root, scale, cubic):
         f = (lambda x: scale * ((x - root) ** 3 + (x - root))) if cubic else (lambda x: scale * (x - root))
         got = solve_root_bracketed(f, Bracket(-8.0, 8.0, tolerance=1e-12))
+        assert got == pytest.approx(root, abs=1e-9)
+
+
+class TestNewtonRootFinding:
+    @staticmethod
+    def with_slope(f, df):
+        return lambda x: (f(x), df(x))
+
+    def test_exponential(self):
+        f = self.with_slope(lambda x: math.exp(x) - 2.0, math.exp)
+        root = solve_root_bracketed(f, Bracket(0.0, 2.0), derivative=True)
+        assert root == pytest.approx(math.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("r", [-7.5, -3.0, -0.4, 0.0, 1.7, 5.0, 7.9])
+    def test_overshooting_newton_falls_back_to_bisection(self, r):
+        # Newton on atan diverges from more than ~1.39 away from the root,
+        # so the steps from the far endpoint leave the bracket
+        f = self.with_slope(lambda x: math.atan(x - r), lambda x: 1.0 / (1.0 + (x - r) ** 2))
+        calls = []
+        counted = lambda x: calls.append(x) or f(x)
+        got = solve_root_bracketed(counted, Bracket(-8.0, 8.0, tolerance=1e-12), derivative=True)
+        assert got == pytest.approx(r, abs=1e-10)
+        assert len(calls) <= 60
+
+    def test_start_point(self):
+        f = self.with_slope(lambda x: x**3 - 2.0, lambda x: 3.0 * x**2)
+        got = solve_root_bracketed(f, Bracket(0.0, 4.0), derivative=True, x0=1.2)
+        assert got == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(root=st.floats(-5.0, 5.0), scale=st.floats(0.1, 10.0))
+    def test_monotone_root_recovered(self, root, scale):
+        f = self.with_slope(
+            lambda x: scale * ((x - root) ** 3 + (x - root)), lambda x: scale * (3.0 * (x - root) ** 2 + 1.0)
+        )
+        got = solve_root_bracketed(f, Bracket(-8.0, 8.0, tolerance=1e-12), derivative=True)
         assert got == pytest.approx(root, abs=1e-9)
 
 

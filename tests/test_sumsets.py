@@ -71,6 +71,16 @@ class TestDoublingK:
         with pytest.raises(DomainError):
             find_doubling_k(fracs(0, 1), 0.01, 50)
 
+    def test_one_sum_per_k(self, monkeypatch):
+        from thermocone import sumsets
+
+        calls = []
+        plain = sumsets.minkowski_sum
+        monkeypatch.setattr(sumsets, "minkowski_sum", lambda a, b: calls.append(len(a)) or plain(a, b))
+        k, _, report = find_doubling_k(fracs(0, 1), 0.01, 120)
+        assert k == 99 and report.sizes == tuple(range(2, 101))
+        assert len(calls) == k
+
     def test_sizes_nondecreasing(self):
         _, _, report = find_doubling_k(fracs(0, 1, Fraction(7, 3)), 0.2, 64)
         assert all(b >= a for a, b in zip(report.sizes, report.sizes[1:]))

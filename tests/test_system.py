@@ -36,6 +36,20 @@ class TestHamiltonianSpec:
         with pytest.raises(ValidationError):
             HamiltonianSpec(())
 
+    def test_degeneracy_must_be_whole(self):
+        with pytest.raises(ValidationError) as err:
+            HamiltonianSpec(((0.0, 1.7), (1.0, 1)))
+        assert err.value.code == "bad-level"
+        assert HamiltonianSpec(((0.0, 2.0), (1.0, 1))).levels == ((0.0, 2), (1.0, 1))
+        for bad in (math.nan, math.inf, "two"):
+            with pytest.raises(ValidationError):
+                HamiltonianSpec(((0.0, bad), (1.0, 1)))
+
+    def test_non_numeric_level_json(self):
+        for level in ('{"energy": "x"}', '{"energy": 0, "degeneracy": [2]}', '{"energy": 0, "degeneracy": 1.5}'):
+            with pytest.raises(ValidationError):
+                hamiltonian_from_json('{"levels": [%s, {"energy": 1}]}' % level)
+
     def test_json_round_trip(self):
         h = HamiltonianSpec(((0.0, 1), (1.0, 2)))
         assert hamiltonian_from_json(json.dumps(h.to_json())) == h
@@ -162,6 +176,19 @@ class TestStateJson:
     def test_macro_form(self):
         state = state_from_json({"macro": {"E": 0.5, "S": 0.2}})
         assert state.kind == "macro"
+
+    def test_non_numeric_fields(self):
+        for payload in (
+            {"spectrum": [0.5, 0.5], "energy": 0.5, "n": "abc"},
+            {"spectrum": [0.5, 0.5], "energy": "half"},
+            {"spectrum": [0.5, None], "energy": 0.5},
+            {"spectrum": 0.5, "energy": 0.5},
+            {"macro": {"E": "x", "S": 0.1}},
+            {"macro": {"E": 0.5, "S": [0.1]}},
+        ):
+            with pytest.raises(ValidationError) as err:
+                state_from_json(payload)
+            assert err.value.code in ("bad-number", "bad-state-json")
 
     def test_bad_payloads(self):
         for payload in ("{}", '{"spectrum": [1.0]}', '{"macro": {"E": 1}}', "[1, 2]"):

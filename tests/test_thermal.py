@@ -10,6 +10,7 @@ from thermocone import (
     beta_from_energy,
     beta_from_entropy,
     energy_variance,
+    thermal,
     thermal_point,
 )
 
@@ -65,6 +66,15 @@ class TestThermalPoint:
             assert thermal_point(h, 0.0).entropy == h.log_dim
             for beta in BETAS:
                 assert thermal_point(h, beta).entropy <= h.log_dim
+
+    def test_underflowing_degenerate_level(self):
+        # at beta = -750 the ground weight is subnormal; divided by its
+        # degeneracy 2 it underflows to zero and must drop out of S
+        h = HamiltonianSpec(((0.0, 2), (0.0077, 3), (0.9984, 2), (1.0, 3)))
+        with np.errstate(divide="raise"):
+            tp = thermal_point(h, -750.0)
+        # the scalar path measures S from the top plateau, log 3
+        assert tp.entropy == pytest.approx(math.log(3) + thermal._moments(h, -750.0)[1], abs=1e-12)
 
     def test_constant_hamiltonian(self):
         h = HamiltonianSpec(((0.7, 3),))
@@ -142,3 +152,82 @@ class TestEnergyVariance:
                 lo = thermal_point(h, beta - h_step)
                 derivative = -(hi.energy - lo.energy) / (2 * h_step)
                 assert derivative == pytest.approx(energy_variance(h, beta), rel=1e-4)
+
+
+def small_gap_hamiltonian(rng: np.random.Generator) -> HamiltonianSpec:
+    """Levels on [0, 1] whose lowest and highest gaps are 1e-3..1e-2, so
+    the thermal curve stays off its plateaus up to |beta| near beta_cap."""
+    low, high = rng.uniform(1e-3, 1e-2, size=2)
+    inner = np.sort(rng.uniform(0.1, 0.9, size=int(rng.integers(0, 3))))
+    energies = [0.0, float(low), *map(float, inner), float(1.0 - high), 1.0]
+    degs = rng.integers(1, 4, size=len(energies))
+    return HamiltonianSpec(tuple((e, int(g)) for e, g in zip(energies, degs)))
+
+
+class TestInverseEvaluationCount:
+    """Newton steps on the tangent relations keep every inverse solve,
+    the hard cases included, within 12 evaluations of the thermal moments."""
+
+    MAX_EVALS = 12
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        moments = thermal._moments
+        monkeypatch.setattr(thermal, "_moments", lambda h, beta: seen.append(beta) or moments(h, beta))
+        return seen
+
+    @staticmethod
+    def hamiltonians():
+        rng = np.random.default_rng(21)
+        return [random_hamiltonian(rng, 2, 6, degenerate=True) for _ in range(40)] + [
+            small_gap_hamiltonian(rng) for _ in range(20)
+        ]
+
+    def solve(self, calls, fn, *args):
+        calls.clear()
+        beta = fn(*args)
+        assert 0 < len(calls) <= self.MAX_EVALS, (args, len(calls))
+        return beta
+
+    def test_thermal_points(self, calls):
+        for h in self.hamiltonians():
+            span, cap = h.e_max - h.e_min, beta_cap(h)
+            for beta in (-10.0 / span, -2.0 / span, -0.5 / span, 0.5 / span, 2.0 / span, 10.0 / span,
+                         0.9 * cap, -0.9 * cap):
+                tp = thermal_point(h, beta)
+                branch = "positive" if beta > 0 else "negative"
+                if h.e_min < tp.energy < h.e_max:
+                    found = self.solve(calls, beta_from_energy, h, tp.energy)
+                    assert thermal_point(h, found).energy == pytest.approx(tp.energy, abs=1e-12)
+                if tp.entropy > math.log(h.g_ground if beta > 0 else h.g_top):
+                    found = self.solve(calls, beta_from_entropy, h, tp.entropy, branch)
+                    assert thermal_point(h, found).entropy == pytest.approx(tp.entropy, abs=1e-12)
+
+    def test_near_cap(self, calls):
+        for h in self.hamiltonians()[40:]:
+            for beta in (0.9 * beta_cap(h), -0.9 * beta_cap(h)):
+                tp = thermal_point(h, beta)
+                branch = "positive" if beta > 0 else "negative"
+                assert self.solve(calls, beta_from_energy, h, tp.energy) == pytest.approx(beta, rel=1e-9)
+                assert self.solve(calls, beta_from_entropy, h, tp.entropy, branch) == pytest.approx(beta, rel=1e-9)
+
+    def test_targets_near_the_plateaus(self, calls):
+        eps = 1e-6
+        for h in self.hamiltonians():
+            span, cap = h.e_max - h.e_min, beta_cap(h)
+            for plateau, sign in ((h.e_min, 1.0), (h.e_max, -1.0)):
+                target = plateau + sign * eps * span
+                beta = self.solve(calls, beta_from_energy, h, target)
+                reached = thermal_point(h, beta).energy - plateau
+                if abs(beta) == cap:  # not reached before the cap
+                    assert abs(reached) > eps * span
+                else:
+                    assert reached == pytest.approx(target - plateau, rel=1e-7)
+            for branch, g in (("positive", h.g_ground), ("negative", h.g_top)):
+                for target in (math.log(g) + eps, h.log_dim - eps):
+                    beta = self.solve(calls, beta_from_entropy, h, target, branch)
+                    if abs(beta) == cap:
+                        assert thermal._moments(h, beta)[1] > eps
+                    else:
+                        assert thermal_point(h, beta).entropy == pytest.approx(target, abs=1e-12)
