@@ -62,5 +62,6 @@ from .system import (
     validate_state,
 )
 from .thermal import ThermalPoint, beta_cap, beta_from_energy, beta_from_entropy, energy_variance, thermal_point
+from .thermal import thermal_points
 
 __version__ = "0.1.0"

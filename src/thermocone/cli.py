@@ -7,17 +7,16 @@ or a file path), outputs are JSON or CSV with floats printed to 12
 significant digits, so repeat runs are byte-identical.
 
 Exit codes: 0 success, 1 domain error, 2 validation error / bad usage.
-THERMOCONE_THREADS sets the worker count for grid sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -65,8 +64,11 @@ def emit(records: Sequence[dict], fmt: str, path: Optional[str], columns: Option
     else:
         raise ValidationError("bad-format", f"unknown output format {fmt!r}")
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError("bad-output", f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return text
@@ -121,45 +123,37 @@ def _level_set(value: str) -> sumsets.LevelSet:
     return sumsets.LevelSet(tuple(Fraction(str(x)) if isinstance(x, str) else Fraction(x) for x in data))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("THERMOCONE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError("bad-threads", f"THERMOCONE_THREADS must be an integer, got {raw!r}")
+_CURVE_COLUMNS = ("beta", "logZ", "E", "S")
+# output keys that differ from the field names of the result dataclasses
+_RENAMES = {"work": "W", "heat": "Q", "q_hot": "Q_hot", "q_cold": "Q_cold"}
 
 
-def _cmd_curve(args) -> int:
+def _record(result) -> dict:
+    """A result dataclass as one output record."""
+    return {_RENAMES.get(k, k): v for k, v in dataclasses.asdict(result).items()}
+
+
+def _cmd_curve(args) -> list[dict]:
     h = _hamiltonian(args)
     if args.samples < 2:
         raise ValidationError("bad-samples", "need at least 2 samples")
-    betas = np.linspace(args.beta_min, args.beta_max, args.samples)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(lambda b: thermal.thermal_point(h, float(b)), betas))
-    else:
-        points = [thermal.thermal_point(h, float(b)) for b in betas]
-    rows = [{"beta": p.beta, "logZ": p.log_z, "E": p.energy, "S": p.entropy} for p in points]
-    emit(rows, args.format, args.out, columns=["beta", "logZ", "E", "S"])
-    return 0
+    points = thermal.thermal_points(h, np.linspace(args.beta_min, args.beta_max, args.samples))
+    return [dict(zip(_CURVE_COLUMNS, row)) for row in zip(*(a.tolist() for a in points))]
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> dict:
     h = _hamiltonian(args)
     verdict = diagram.diagram_contains(h, _macro(args.macro), tol=args.tol)
-    emit([{"member": verdict.is_member, "verdict": verdict.value}], args.format, args.out)
-    return 0
+    return {"member": verdict.is_member, "verdict": verdict.value}
 
 
-def _cmd_wmax(args) -> int:
+def _cmd_wmax(args) -> dict:
     h = _hamiltonian(args)
     state = state_from_json(_load_json_arg(args.rho))
-    emit([{"w_max": diagram.w_max(h, state)}], args.format, args.out)
-    return 0
+    return {"w_max": diagram.w_max(h, state)}
 
 
-def _cmd_exchange(args) -> int:
+def _cmd_exchange(args) -> dict:
     h = _hamiltonian(args)
     spec = exchange.ExchangeSpec(
         hamiltonian=h,
@@ -168,120 +162,61 @@ def _cmd_exchange(args) -> int:
         beta1=args.beta1,
         beta2=args.beta2,
     )
-    res = exchange.work_heat(spec)
-    emit(
-        [
-            {
-                "W": res.work,
-                "Q": res.heat,
-                "beta_eff": res.beta_eff,
-                "m_over_n": res.m_over_n,
-                "ell_over_n": res.ell_over_n,
-                "battery_reversed": res.battery_reversed,
-            }
-        ],
-        args.format,
-        args.out,
-    )
-    return 0
+    return _record(exchange.work_heat(spec))
 
 
-def _cmd_engine(args) -> int:
+def _cmd_engine(args) -> dict:
     h = _hamiltonian(args)
     res = exchange.engine_efficiencies(h, args.beta_cold, args.beta_less_cold, args.beta_less_hot, args.beta_hot)
-    emit(
-        [
-            {
-                "eta_engine": res.eta_engine,
-                "eta_refrigerator": res.eta_refrigerator,
-                "W": res.work,
-                "Q_hot": res.q_hot,
-                "Q_cold": res.q_cold,
-            }
-        ],
-        args.format,
-        args.out,
-    )
-    return 0
+    return _record(res)
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> dict:
     h = _hamiltonian(args)
     y_rho = cone_point_of(state_from_json(_load_json_arg(args.rho)), h)
     y_sigma = cone_point_of(state_from_json(_load_json_arg(args.sigma)), h)
-    res = cone.r_max(h, y_rho, y_sigma, tol=args.tol, grid_size=args.grid)
-    emit(
-        [
-            {
-                "rate_bisect": res.rate_bisect,
-                "rate_monotone": res.rate_monotone,
-                "argmin_beta": res.argmin_beta,
-                "agreement_gap": res.agreement_gap,
-            }
-        ],
-        args.format,
-        args.out,
-    )
-    return 0
+    return _record(cone.r_max(h, y_rho, y_sigma, tol=args.tol))
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> dict:
     h = _hamiltonian(args)
-    weights = diagram.decompose(h, _macro(args.macro), args.beta)
-    emit([{"c_beta": weights.c_beta, "c_min": weights.c_min, "c_max": weights.c_max}], args.format, args.out)
-    return 0
+    return _record(diagram.decompose(h, _macro(args.macro), args.beta))
 
 
-def _cmd_protocol(args) -> int:
-    report = protocol.run_entropy_protocol(
+def _cmd_protocol(args) -> dict:
+    return protocol.run_entropy_protocol(
         _distribution(args.p),
         _distribution(args.q),
         args.n,
         ancilla_bits=args.ancilla_bits,
         outcome_cap=args.cap,
-    )
-    emit([report.to_json()], args.format, args.out)
-    return 0
+    ).to_json()
 
 
-def _cmd_coarse(args) -> int:
+def _cmd_coarse(args) -> dict:
     result = protocol.build_coarse_graining(_distribution(args.p), _distribution(args.q))
-    emit(
-        [
-            {
-                "distance": result.distance,
-                "l1_bound": result.l1_bound,
-                "fibre_size_bound": result.fibre_size_bound,
-                "max_fiber": max(result.fiber_sizes),
-                "fiber_sizes": list(result.fiber_sizes),
-                "assignment": list(result.assignment),
-                "pushforward": list(result.pushforward),
-            }
-        ],
-        args.format,
-        args.out,
-    )
-    return 0
+    return {
+        "distance": result.distance,
+        "l1_bound": result.l1_bound,
+        "fibre_size_bound": result.fibre_size_bound,
+        "max_fiber": max(result.fiber_sizes),
+        "fiber_sizes": list(result.fiber_sizes),
+        "assignment": list(result.assignment),
+        "pushforward": list(result.pushforward),
+    }
 
 
-def _cmd_sumset(args) -> int:
+def _cmd_sumset(args) -> dict:
     k, ratio, report = sumsets.find_doubling_k(_level_set(args.levels), args.delta, args.k_max)
-    emit(
-        [
-            {
-                "k": k,
-                "ratio": ratio,
-                "sizes": list(report.sizes),
-                "growth_exponent": report.growth_exponent,
-            }
-        ],
-        args.format,
-        args.out,
-    )
-    return 0
+    return {
+        "k": k,
+        "ratio": ratio,
+        "sizes": list(report.sizes),
+        "growth_exponent": report.growth_exponent,
+    }
 
 
-def _cmd_dilate(args) -> int:
+def _cmd_dilate(args) -> dict:
     h = _hamiltonian(args)
     report = build_energy_preserving_dilation(
         h,
@@ -291,123 +226,92 @@ def _cmd_dilate(args) -> int:
         _level_set(args.m_levels),
         args.delta,
     )
-    emit(
-        [
-            {
-                "total_dimension": report.total_dimension,
-                "commutation_residual": report.commutation_residual,
-                "output_distance": report.output_distance,
-                "delta": report.delta,
-                "case": report.case,
-                "deficit_factors": list(report.deficit_factors),
-            }
-        ],
-        args.format,
-        args.out,
-    )
-    return 0
+    return _record(report)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="thermocone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, hamiltonian=True):
+    def command(name, func, summary, hamiltonian=True):
+        p = sub.add_parser(name, help=summary)
         if hamiltonian:
             p.add_argument("--hamiltonian", required=True, help="Hamiltonian JSON (inline or file)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])
+        p.set_defaults(func=func, columns=None)
+        return p
 
-    p = sub.add_parser("curve", help="sample the thermal curve")
-    common(p)
+    p = command("curve", _cmd_curve, "sample the thermal curve")
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=101)
-    p.set_defaults(func=_cmd_curve)
+    p.set_defaults(columns=_CURVE_COLUMNS)
 
-    p = sub.add_parser("member", help="energy-entropy diagram membership")
-    common(p)
+    p = command("member", _cmd_member, "energy-entropy diagram membership")
     p.add_argument("--macro", required=True, help='macrostate JSON {"E":..,"S":..}')
     p.add_argument("--tol", type=float, default=diagram.DEFAULT_BOUNDARY_TOL)
-    p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("wmax", help="maximal extractable work per copy")
-    common(p)
+    p = command("wmax", _cmd_wmax, "maximal extractable work per copy")
     p.add_argument("--rho", required=True, help="state JSON")
-    p.set_defaults(func=_cmd_wmax)
 
-    p = sub.add_parser("exchange", help="finite-reservoir work and heat")
-    common(p)
+    p = command("exchange", _cmd_exchange, "finite-reservoir work and heat")
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--beta1", type=float, required=True)
     p.add_argument("--beta2", type=float, required=True)
-    p.set_defaults(func=_cmd_exchange)
 
-    p = sub.add_parser("engine", help="finite-reservoir engine efficiencies")
-    common(p)
+    p = command("engine", _cmd_engine, "finite-reservoir engine efficiencies")
     p.add_argument("--beta-cold", type=float, required=True)
     p.add_argument("--beta-less-cold", type=float, required=True)
     p.add_argument("--beta-less-hot", type=float, required=True)
     p.add_argument("--beta-hot", type=float, required=True)
-    p.set_defaults(func=_cmd_engine)
 
-    p = sub.add_parser("rate", help="maximal conversion rate, both algorithms")
-    common(p)
+    p = command("rate", _cmd_rate, "maximal conversion rate, both algorithms")
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--grid", type=int, default=2048, help="athermality scan grid size")
-    p.set_defaults(func=_cmd_rate)
 
-    p = sub.add_parser("decompose", help="split a macrostate over {thermal, ground, top}")
-    common(p)
+    p = command("decompose", _cmd_decompose, "split a macrostate over {thermal, ground, top}")
     p.add_argument("--macro", required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("protocol", help="run the classical entropy-conversion protocol")
-    common(p, hamiltonian=False)
+    p = command("protocol", _cmd_protocol, "run the classical entropy-conversion protocol", hamiltonian=False)
     p.add_argument("--p", required=True, help="source distribution JSON array")
     p.add_argument("--q", required=True, help="target distribution JSON array")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ancilla-bits", type=int, default=None)
     p.add_argument("--cap", type=int, default=protocol.DEFAULT_OUTCOME_CAP)
-    p.set_defaults(func=_cmd_protocol)
 
-    p = sub.add_parser("coarse", help="greedy coarse-graining map with bounds")
-    common(p, hamiltonian=False)
+    p = command("coarse", _cmd_coarse, "greedy coarse-graining map with bounds", hamiltonian=False)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.set_defaults(func=_cmd_coarse)
 
-    p = sub.add_parser("sumset", help="find k with slow sumset growth")
-    common(p, hamiltonian=False)
+    p = command("sumset", _cmd_sumset, "find k with slow sumset growth", hamiltonian=False)
     p.add_argument("--levels", required=True, help='JSON array (numbers or "a/b" strings)')
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--k-max", type=int, default=128)
-    p.set_defaults(func=_cmd_sumset)
 
-    p = sub.add_parser("dilate", help="energy-preserving dilation of a unitary")
-    common(p)
+    p = command("dilate", _cmd_dilate, "energy-preserving dilation of a unitary")
     p.add_argument("--unitary", required=True, help="matrix JSON of [re, im] pairs")
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--m-levels", required=True, help="ancilla base level set JSON array")
     p.add_argument("--delta", type=float, required=True)
-    p.set_defaults(func=_cmd_dilate)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        emit(result if isinstance(result, list) else [result], args.format, args.out, columns=args.columns)
     except ThermoconeError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
         return 2 if isinstance(exc, ValidationError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .thermal import beta_cap, log_partition
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
 _TANH_GRID_SIZE = 2048
-_TAIL_GRID_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -81,21 +80,22 @@ def dominates(
     return cone_contains(h, y_rho - y_sigma, tol).is_member
 
 
-def _athermality_grid(h: HamiltonianSpec, size: int = _TANH_GRID_SIZE) -> np.ndarray:
+def _athermality_grid(h: HamiltonianSpec) -> np.ndarray:
     """Beta samples covering (-inf, inf): a tanh-uniform core grid plus
     log-spaced tails out to the evaluation cap."""
     span = h.e_max - h.e_min
     if span <= 0:
         return np.array([0.0])
-    t = np.linspace(-1.0, 1.0, size + 2)[1:-1]
+    t = np.linspace(-1.0, 1.0, _TANH_GRID_SIZE + 2)[1:-1]
     core = np.arctanh(t) * (2.0 / span)
     cap = beta_cap(h)
-    tail = np.geomspace(6.0 / span, cap, max(8, size // 8))
+    tail = np.geomspace(6.0 / span, cap, _TANH_GRID_SIZE // 8)
     return np.unique(np.concatenate([core, [0.0], tail, -tail]))
 
 
-def _slack(h: HamiltonianSpec, y: ConePoint, betas: np.ndarray) -> np.ndarray:
-    return betas * y.energy - y.entropy + y.size * log_partition(h, betas)
+def _slack(y: ConePoint, beta, log_z):
+    """A_beta(y) from log Z at the same beta (floats or arrays)."""
+    return beta * y.energy - y.entropy + y.size * log_z
 
 
 def r_max(
@@ -103,7 +103,6 @@ def r_max(
     y_rho: ConePoint,
     y_sigma: ConePoint,
     tol: float = 1e-8,
-    grid_size: int = _TANH_GRID_SIZE,
 ) -> RateResult:
     """Maximal conversion rate from rho to sigma, by both algorithms;
     ``tol`` (> 0) is the relative width at which the bisection stops."""
@@ -126,17 +125,19 @@ def r_max(
     if t_sigma > floor * (1.0 + h.e_max - h.e_min):
         candidates.append((max(0.0, t_rho) / t_sigma, -math.inf))
 
-    betas = _athermality_grid(h, grid_size)
-    num = _slack(h, y_rho, betas)
-    den = _slack(h, y_sigma, betas)
+    betas = _athermality_grid(h)
+    log_z = log_partition(h, betas)
+    num = _slack(y_rho, betas, log_z)
+    den = _slack(y_sigma, betas, log_z)
     ok = den > floor
     if ok.any():
         ratios = np.where(ok, np.maximum(num, 0.0) / np.where(ok, den, 1.0), np.inf)
         i = int(np.argmin(ratios))
 
         def ratio_at(beta: float) -> float:
-            n = float(_slack(h, y_rho, np.array([beta]))[0])
-            d = float(_slack(h, y_sigma, np.array([beta]))[0])
+            log_z_at = float(log_partition(h, beta)[0])
+            n = _slack(y_rho, beta, log_z_at)
+            d = _slack(y_sigma, beta, log_z_at)
             return max(n, 0.0) / d if d > floor else math.inf
 
         lo = betas[max(0, i - 1)]

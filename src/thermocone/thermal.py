@@ -4,9 +4,11 @@
 
 Negative temperatures are first class: they describe population-inverted
 (active) states and trace the right-hand half of the thermal curve. All
-evaluations use a max-shifted exponential sum, so no overflow occurs for
-any finite beta; beyond ``beta_cap`` the curve is numerically flat and
-the exact plateau values are returned.
+evaluations shift the Boltzmann weights to the plateau level on beta's
+side, so no overflow occurs for any finite beta; beyond ``beta_cap`` the
+curve is numerically flat and the exact plateau values are returned. One
+formula has two kernels: a scalar one (``thermal_point`` and the inverse
+solvers) and an array one (``thermal_points`` and ``log_partition``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "beta_cap",
     "log_partition",
     "thermal_point",
+    "thermal_points",
     "beta_from_energy",
     "beta_from_entropy",
     "energy_variance",
@@ -51,21 +54,54 @@ def beta_cap(h: HamiltonianSpec) -> float:
     return 750.0 / span if span > 0 else math.inf
 
 
-def log_partition(h: HamiltonianSpec, betas) -> np.ndarray:
-    """log Z at each beta (vectorized), max-shifted for overflow safety."""
-    b = np.atleast_1d(np.asarray(betas, dtype=float))
-    w = -np.outer(b, h.energies())
-    m = w.max(axis=1, keepdims=True)
-    return (m[:, 0] + np.log(np.exp(w - m) @ h.degeneracies()))
+def _beyond_cap(h: HamiltonianSpec, beta):
+    """The plateau rule, for one beta or an array of them: +-inf and
+    finite |beta| > beta_cap sit on the plateau."""
+    mag = abs(beta)
+    return (mag > beta_cap(h)) | (mag == math.inf)
 
 
-def _plateau(h: HamiltonianSpec, beta: float, positive_side: bool) -> ThermalPoint:
-    if positive_side:
+def _plateau(h: HamiltonianSpec, beta: float) -> ThermalPoint:
+    if beta > 0:
         e, g = h.e_min, h.g_ground
     else:
         e, g = h.e_max, h.g_top
     log_z = math.log(g) if e == 0.0 else math.log(g) - beta * e
     return ThermalPoint(beta=beta, log_z=log_z, energy=e, entropy=math.log(g))
+
+
+def _shifted_weights(h: HamiltonianSpec, beta: float):
+    """Scalar kernel at finite beta: Boltzmann weights shifted to the
+    plateau level ``ref`` on beta's side (E_min for beta >= +0.0, E_max
+    for beta <= -0.0), so none exceeds its degeneracy. Returns (ref,
+    g_ref, rest, rel, weights): ``rest`` sums the weights off the ref
+    level, z = g_ref + rest, rel = E - ref, and ``weights`` holds the
+    (w_i, e_i - ref) pairs."""
+    ref, g_ref = (h.e_max, h.g_top) if math.copysign(1.0, beta) < 0 else (h.e_min, h.g_ground)
+    weights = [(g * math.exp(-beta * (e - ref)), e - ref) for e, g in h.levels]
+    rest = sum(w for w, d in weights if d != 0.0)
+    rel = sum(w * d for w, d in weights) / (g_ref + rest)
+    return ref, g_ref, rest, rel, weights
+
+
+def _shifted_weight_rows(h: HamiltonianSpec, b: np.ndarray):
+    """Array kernel: ``_shifted_weights`` for each finite beta of ``b``,
+    as (ref, d, w, z) with d = e_i - ref and the weights w as (len(b),
+    levels) arrays. Sums run in level order (``cumsum``), as in the
+    scalar kernel, so both kernels round alike."""
+    top = np.signbit(b)
+    ref = np.where(top, h.e_max, h.e_min)
+    d = h.energies() - ref[:, None]
+    w = h.degeneracies() * np.exp(-b[:, None] * d)
+    rest = np.cumsum(np.where(d != 0.0, w, 0.0), axis=1)[:, -1]
+    return ref, d, w, np.where(top, h.g_top, h.g_ground) + rest
+
+
+def log_partition(h: HamiltonianSpec, betas) -> np.ndarray:
+    """log Z = log z - beta*ref at each finite beta (vectorized)."""
+    b = np.atleast_1d(np.asarray(betas, dtype=float))
+    ref, _, _, z = _shifted_weight_rows(h, b)
+    return np.log(z) - b * ref
 
 
 def thermal_point(h: HamiltonianSpec, beta: float) -> ThermalPoint:
@@ -77,27 +113,33 @@ def thermal_point(h: HamiltonianSpec, beta: float) -> ThermalPoint:
     """
     if math.isnan(beta):
         raise ValidationError("bad-beta", "beta must not be NaN")
-    cap = beta_cap(h)
-    if beta == math.inf or beta > cap:
-        return _plateau(h, beta, positive_side=True)
-    if beta == -math.inf or beta < -cap:
-        return _plateau(h, beta, positive_side=False)
+    if _beyond_cap(h, beta):
+        return _plateau(h, beta)
+    ref, g_ref, rest, rel, _ = _shifted_weights(h, beta)
+    log_z = math.log(g_ref + rest)
+    # S = log z + beta*rel: both terms share one sign, so the sum never cancels
+    entropy = min(max(log_z + beta * rel, 0.0), h.log_dim)
+    return ThermalPoint(beta=float(beta), log_z=log_z - beta * ref, energy=ref + rel, entropy=entropy)
 
-    energies = h.energies()
-    degs = h.degeneracies()
-    w = -beta * energies
-    m = float(w.max())
-    weights = degs * np.exp(w - m)
-    z_shift = float(weights.sum())
-    log_z = m + math.log(z_shift)
-    p = weights / z_shift
-    energy = float(p @ energies)
-    # per-level probability p_i spreads over g_i states: S = -sum p ln(p/g)
-    per_state = p / degs  # may underflow to zero where p does not
-    mask = per_state > 0.0
-    entropy = float(-(p[mask] @ np.log(per_state[mask])))
-    entropy = min(max(entropy, 0.0), h.log_dim)
-    return ThermalPoint(beta=float(beta), log_z=log_z, energy=energy, entropy=entropy)
+
+def thermal_points(h: HamiltonianSpec, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (beta, log Z, E, S) at each of ``betas``: ``thermal_point``
+    for a whole sweep at once, with the same plateau rule."""
+    b = np.array(betas, dtype=float, ndmin=1)
+    if np.isnan(b).any():
+        raise ValidationError("bad-beta", "beta must not be NaN")
+    plateau = _beyond_cap(h, b)
+    finite_b = np.where(plateau, 0.0, b)
+    ref, d, w, z = _shifted_weight_rows(h, finite_b)
+    rel = np.cumsum(w * d, axis=1)[:, -1] / z
+    log_z = np.log(z)
+    entropy = np.clip(log_z + finite_b * rel, 0.0, h.log_dim)
+    log_z -= finite_b * ref
+    energy = ref + rel
+    for i in np.flatnonzero(plateau):
+        p = _plateau(h, float(b[i]))
+        log_z[i], energy[i], entropy[i] = p.log_z, p.energy, p.entropy
+    return b, log_z, energy, entropy
 
 
 def _require_nondegenerate(h: HamiltonianSpec):
@@ -108,18 +150,13 @@ def _require_nondegenerate(h: HamiltonianSpec):
 
 
 def _moments(h: HamiltonianSpec, beta: float) -> tuple[float, float, float]:
-    """Scalar (E - ref, S - log g_ref, Var) of tau_beta at finite beta
-    from one set of Boltzmann weights; math-only fast path for the
-    inverse solvers. ``ref`` is the plateau level on beta's side (E_min
-    for beta >= +0.0, E_max for beta <= -0.0), so both gaps are sums of
-    like-signed terms and keep full relative precision near the plateau.
+    """Scalar (E - ref, S - log g_ref, Var) of tau_beta at finite beta,
+    the fast path of the inverse solvers. Both gaps are sums of
+    like-signed terms and keep full relative precision near the plateau;
+    Var is in centred form.
     """
-    ref, g_ref = (h.e_max, h.g_top) if math.copysign(1.0, beta) < 0 else (h.e_min, h.g_ground)
-    weights = [(g * math.exp(-beta * (e - ref)), e - ref) for e, g in h.levels]
-    rest = sum(w for w, d in weights if d != 0.0)
-    z = g_ref + rest
-    rel = sum(w * d for w, d in weights) / z
-    var = sum(w * (d - rel) ** 2 for w, d in weights) / z
+    _, g_ref, rest, rel, weights = _shifted_weights(h, beta)
+    var = sum(w * (d - rel) ** 2 for w, d in weights) / (g_ref + rest)
     return rel, math.log1p(rest / g_ref) + beta * rel, var
 
 

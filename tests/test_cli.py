@@ -1,10 +1,18 @@
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
+from decimal import Decimal
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from conftest import random_hamiltonian
+from thermocone import beta_cap, cli, thermal_point, thermal_points
 from thermocone.cli import main
 
 QUBIT = '{"levels":[{"energy":0.0,"degeneracy":1},{"energy":1.0,"degeneracy":1}]}'
@@ -97,12 +105,45 @@ class TestCurve:
             _, second, _ = run_cli(capsys, *args)
             assert first == second, args[0]
 
-    def test_thread_count_does_not_change_output(self, capsys, qubit_file, monkeypatch):
-        args = ("curve", "--hamiltonian", qubit_file, "--beta-min", "-2", "--beta-max", "2", "--samples", "21")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("THERMOCONE_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert serial == threaded
+    def test_rows_match_scalar_kernel(self):
+        # curve rows come from the array kernel; each row must match the
+        # scalar kernel to 4 ulp of its scale (z >= 1, so log z and S carry
+        # absolute rounding; E = ref + rel carries that of the energies)
+        rng = np.random.default_rng(11)
+        for n_levels in range(2, 13):
+            h = random_hamiltonian(rng, d_min=n_levels, d_max=n_levels, degenerate=True)
+            cap = beta_cap(h)
+            beyond = [1.5 * cap, -1.5 * cap, math.inf, -math.inf]
+            betas = [0.0, -0.0, 0.9 * cap, -0.9 * cap, *beyond, *rng.uniform(-20.0, 20.0, 8) / (h.e_max - h.e_min)]
+            rows = thermal_points(h, betas)
+            e_scale = max(abs(h.e_min), abs(h.e_max), h.e_max - h.e_min)
+            for k, beta in enumerate(betas):
+                tp = thermal_point(h, beta)
+                assert rows[0][k] == beta
+                if beta in beyond:
+                    assert (rows[1][k], rows[2][k], rows[3][k]) == (tp.log_z, tp.energy, tp.entropy)
+                    continue
+                for got, want, scale in (
+                    (rows[1][k], tp.log_z, max(1.0, abs(beta) * e_scale)),
+                    (rows[2][k], tp.energy, e_scale),
+                    (rows[3][k], tp.entropy, 1.0),
+                ):
+                    assert abs(got - want) <= 4 * np.spacing(max(abs(want), scale)), (n_levels, beta)
+
+    def test_nan_beta_exits_2(self, capsys, qubit_file):
+        code, out, err = run_cli(
+            capsys, "curve", "--hamiltonian", qubit_file, "--beta-min", "nan", "--beta-max", "1", "--samples", "5"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-beta"
+
+    def test_unwritable_out_exits_2(self, capsys, qubit_file, tmp_path):
+        out_path = tmp_path / "no_such_dir" / "curve.csv"
+        code, out, err = run_cli(
+            capsys, "curve", "--hamiltonian", qubit_file, "--beta-min", "-1", "--beta-max", "1", "--out", str(out_path)
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-output"
 
     def test_single_point_json_has_four_keys(self, capsys, qubit_file):
         code, out, _ = run_cli(
@@ -230,6 +271,113 @@ class TestOtherSubcommands:
         payload = json.loads(out)
         assert payload["commutation_residual"] == 0.0
         assert payload["output_distance"] <= 2 * 0.143
+
+
+# 3 levels, degenerate ground and top, E_min < 0 < E_max
+H3 = '{"levels":[{"energy":-0.5,"degeneracy":2},{"energy":0.25,"degeneracy":1},{"energy":1.5,"degeneracy":3}]}'
+
+# the README examples (the Hamiltonian inline, curve to stdout) plus the
+# thermal subcommands on H3; outputs frozen in cli_golden.json
+GOLDEN_CASES = {
+    "curve": ["curve", "--hamiltonian", QUBIT, "--beta-min", "-5", "--beta-max", "5", "--samples", "101",
+              "--format", "csv"],
+    "member": ["member", "--hamiltonian", QUBIT, "--macro", '{"E":0.5,"S":0.8}'],
+    "wmax": ["wmax", "--hamiltonian", QUBIT, "--rho", '{"spectrum":[0.25,0.75],"energy":0.75}'],
+    "rate": ["rate", "--hamiltonian", QUBIT, "--rho", '{"macro":{"E":0.5,"S":0.2},"n":1}',
+             "--sigma", '{"macro":{"E":0.5,"S":0},"n":1}'],
+    "exchange": ["exchange", "--hamiltonian", QUBIT, "--rho", '{"spectrum":[0.75,0.25],"energy":0.25}',
+                 "--sigma", '{"spectrum":[0.5,0.5],"energy":0.5}', "--beta1", "1", "--beta2", "2"],
+    "engine": ["engine", "--hamiltonian", QUBIT, "--beta-cold", "2", "--beta-less-cold", "1.5",
+               "--beta-less-hot", "1.0", "--beta-hot", "0.5"],
+    "decompose": ["decompose", "--hamiltonian", QUBIT, "--macro", '{"E":0.5,"S":0.4}', "--beta", "0"],
+    "protocol": ["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--ancilla-bits", "10"],
+    "coarse": ["coarse", "--p", "[0.25,0.25,0.25,0.25]", "--q", "[0.5,0.5]"],
+    "sumset": ["sumset", "--levels", '[0,1,"5/2"]', "--delta", "0.2", "--k-max", "64"],
+    "dilate": ["dilate", "--hamiltonian", QUBIT, "--unitary", "[[[0,0],[1,0]],[[1,0],[0,0]]]",
+               "--rho", '{"matrix":[[[0,0],[0,0]],[[0,0],[1,0]]]}',
+               "--sigma", '{"matrix":[[[1,0],[0,0]],[[0,0],[0,0]]]}',
+               "--m-levels", "[-3,-2,-1,0,1,2,3]", "--delta", "0.143"],
+    "h3_curve": ["curve", "--hamiltonian", H3, "--beta-min", "-4", "--beta-max", "4", "--samples", "41"],
+    "h3_curve_plateau": ["curve", "--hamiltonian", H3, "--beta-min", "-800", "--beta-max", "800", "--samples", "17",
+                         "--format", "csv"],
+    "h3_wmax": ["wmax", "--hamiltonian", H3, "--rho", '{"spectrum":[0.4,0.2,0.15,0.1,0.1,0.05],"energy":0.1}'],
+    "h3_rate": ["rate", "--hamiltonian", H3, "--rho", '{"macro":{"E":0.3,"S":1.2},"n":1}',
+                "--sigma", '{"macro":{"E":0.0,"S":0.5},"n":1}'],
+    "h3_exchange": ["exchange", "--hamiltonian", H3, "--rho", '{"spectrum":[0.5,0.3,0.1,0.05,0.05,0.0],"energy":-0.2}',
+                    "--sigma", '{"spectrum":[0.3,0.2,0.2,0.1,0.1,0.1],"energy":0.4}', "--beta1", "1", "--beta2", "2"],
+    "h3_engine": ["engine", "--hamiltonian", H3, "--beta-cold", "2", "--beta-less-cold", "1.5",
+                  "--beta-less-hot", "1.0", "--beta-hot", "0.5"],
+    "h3_decompose": ["decompose", "--hamiltonian", H3, "--macro", '{"E":0.4,"S":0.9}', "--beta", "0.5"],
+}
+THERMAL_SUBCOMMANDS = {"curve", "wmax", "rate", "exchange", "engine", "decompose"}
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def _within_one_unit_of_12th_digit(got: str, want: str) -> bool:
+    a, b = Decimal(got), Decimal(want)
+    return abs(a - b) <= Decimal(1).scaleb(max(a.adjusted(), b.adjusted()) - 11)
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_output_matches_golden(self, capsys, golden, name):
+        argv = GOLDEN_CASES[name]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        want = golden[name]
+        if argv[0] not in THERMAL_SUBCOMMANDS:
+            assert out == want
+            return
+        # thermal results may move in the last printed digit: same text and
+        # keys, each number within one unit of its 12th significant digit
+        if argv[0] == "rate":
+            out, want = self._split_ill_conditioned(json.loads(out), json.loads(want))
+        assert NUMBER.sub("#", out) == NUMBER.sub("#", want)
+        for got, expected in zip(NUMBER.findall(out), NUMBER.findall(want)):
+            assert _within_one_unit_of_12th_digit(got, expected), (name, got, expected)
+
+    @staticmethod
+    def _split_ill_conditioned(got: dict, want: dict) -> tuple[str, str]:
+        """Check the two rate outputs whose printed digits exceed their
+        conditioning, and return the rest as text for the digit check.
+
+        ``argmin_beta`` minimises a ratio that is flat at its minimum, so a
+        last-bit change in log Z moves it near sqrt(eps) (seen: 1e-7
+        relative); ``agreement_gap`` is the difference of two rates, so it
+        is only good to the rates' own rounding.
+        """
+        assert got.keys() == want.keys()
+        assert got.pop("argmin_beta") == pytest.approx(want.pop("argmin_beta"), rel=1e-6)
+        ulp = np.spacing(max(want["rate_bisect"], want["rate_monotone"]))
+        assert got.pop("agreement_gap") == pytest.approx(want.pop("agreement_gap"), rel=0, abs=4 * ulp)
+        return json.dumps(got, sort_keys=True), json.dumps(want, sort_keys=True)
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counting_parser(*args, **kwargs):
+            built.append(1)
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=counting_parser))
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, "member", "--hamiltonian", QUBIT, "--macro", '{"E":0.5,"S":0.2}')
+            assert code == 0
+        assert len(built) == 1
+
+    def test_grid_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--hamiltonian", QUBIT, "--rho", '{"macro":{"E":0.5,"S":0.2}}',
+                  "--sigma", '{"macro":{"E":0.5,"S":0}}', "--grid", "-5"])
+        assert exc.value.code == 2
 
 
 class TestErrorMapping:
