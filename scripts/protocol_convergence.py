@@ -6,10 +6,14 @@ total-variation distance of the protocol output to q^(x)n falls, along
 with the bound terms that control it.
 
 Usage: python scripts/protocol_convergence.py [max_n] [ancilla_bits]
+
+The reports are also written, as JSON, to out/protocol_convergence.json
+under the current directory.
 """
 
 import json
 import sys
+from pathlib import Path
 
 from thermocone import Distribution, run_entropy_protocol
 
@@ -28,9 +32,10 @@ def main() -> int:
             f"{n:>3} {rep.distance:>10.6f} {rep.map_distance:>10.2e} "
             f"{rep.p_typ_source:>8.4f} {rep.l1_bound:>10.2e} {rep.enumerated_items:>9}"
         )
-    with open("protocol_convergence.json", "w") as fh:
-        json.dump(reports, fh, indent=2)
-    print("wrote protocol_convergence.json")
+    path = Path("out") / "protocol_convergence.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(reports, indent=2))
+    print(f"wrote {path}")
     return 0
 
 

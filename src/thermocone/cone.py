@@ -27,7 +27,7 @@ from .diagram import DEFAULT_BOUNDARY_TOL, Verdict, check_tolerance, diagram_con
 from .errors import DomainError
 from .numerics import minimize_scalar
 from .system import ConePoint, HamiltonianSpec, Macrostate
-from .thermal import beta_cap, log_partition
+from .thermal import beta_cap, energy_variance, log_partition, thermal_point
 
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
@@ -134,11 +134,17 @@ def r_max(
         ratios = np.where(ok, np.maximum(num, 0.0) / np.where(ok, den, 1.0), np.inf)
         i = int(np.argmin(ratios))
 
-        def ratio_at(beta: float) -> float:
-            log_z_at = float(log_partition(h, beta)[0])
-            n = _slack(y_rho, beta, log_z_at)
-            d = _slack(y_sigma, beta, log_z_at)
-            return max(n, 0.0) / d if d > floor else math.inf
+        def ratio_at(beta: float) -> tuple[float, float, float]:
+            # R = N/D, with N' = y_E - size*E and N'' = size*Var (likewise D)
+            tp, var = thermal_point(h, beta), energy_variance(h, beta)
+            n, d = _slack(y_rho, beta, tp.log_z), _slack(y_sigma, beta, tp.log_z)
+            if d <= floor:
+                return math.inf, math.nan, math.nan
+            if n <= 0.0:
+                return 0.0, 0.0, 0.0
+            dn, dd = y_rho.energy - y_rho.size * tp.energy, y_sigma.energy - y_sigma.size * tp.energy
+            r, dr = n / d, (dn * d - n * dd) / (d * d)
+            return r, dr, (var * (y_rho.size - r * y_sigma.size) - 2.0 * dr * dd) / d
 
         lo = betas[max(0, i - 1)]
         hi = betas[min(betas.size - 1, i + 1)]

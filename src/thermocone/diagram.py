@@ -122,7 +122,6 @@ def facet_check(
     h: HamiltonianSpec,
     x: Macrostate,
     beta_grid: Sequence[float],
-    include_edges: bool = True,
 ) -> FacetSlack:
     """Minimum of {x_S, A_beta(x) over the grid, and the two energy-limit
     functionals} with the achieving facet; an independent, grid-based
@@ -135,13 +134,12 @@ def facet_check(
     best = FacetSlack(float(slacks[i]), "athermality", float(betas[i]))
     if x.entropy < best.slack:
         best = FacetSlack(x.entropy, "entropy")
-    if include_edges:
-        ground = x.energy - h.e_min
-        top = h.e_max - x.energy
-        if ground < best.slack:
-            best = FacetSlack(ground, "ground")
-        if top < best.slack:
-            best = FacetSlack(top, "top")
+    ground = x.energy - h.e_min
+    top = h.e_max - x.energy
+    if ground < best.slack:
+        best = FacetSlack(ground, "ground")
+    if top < best.slack:
+        best = FacetSlack(top, "top")
     return best
 
 

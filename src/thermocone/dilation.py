@@ -156,7 +156,8 @@ def build_energy_preserving_dilation(
     d = h.dim
     if u.shape != (d, d):
         raise ValidationError("dimension-mismatch", f"unitary shape {u.shape} != ({d}, {d})")
-    if float(np.abs(u.conj().T @ u - np.eye(d)).max()) > 1e-10:
+    # NaN fails the comparison, so test finiteness first and require <=
+    if not (np.isfinite(u).all() and float(np.abs(u.conj().T @ u - np.eye(d)).max()) <= 1e-10):
         raise ValidationError("not-unitary", "unitary fails U^dag U = 1")
 
     rho_m = _density_matrix(rho, h, "rho")

@@ -1,5 +1,6 @@
-"""Self-contained numerical kernels: Hermitian eigenvalues, bracketed
-root finding, and 1-D minimization.
+"""Self-contained numerical kernels: Hermitian eigenvalues, and one
+iteration, a safeguarded Newton step, serving both bracketed root finding
+and 1-D minimization (grid scan plus Newton on the slope).
 
 Everything here is a pure function of its inputs; the kernels are sized
 for small dense problems (matrix dimension <= 64, scalar solves).
@@ -17,7 +18,6 @@ from .errors import DomainError, ValidationError
 
 _EPS = np.finfo(float).eps
 _SQRT_EPS = math.sqrt(_EPS)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
     "Bracket",
@@ -39,6 +39,9 @@ def as_hermitian_matrix(m, tol: float = 1e-12) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("matrix-shape", f"expected a square matrix, got shape {a.shape}")
     a = a.astype(complex)
+    if not np.isfinite(a).all():
+        i, j = map(int, np.argwhere(~np.isfinite(a))[0])
+        raise ValidationError("non-finite-entry", f"entry ({i},{j})={a[i, j]} is not finite")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     resid = a - a.conj().T
     bad = np.argwhere(np.abs(resid) > tol * scale)
@@ -73,27 +76,20 @@ class Bracket:
             raise ValidationError("bad-bracket", "tolerance must be positive")
 
 
-def solve_root_bracketed(
-    f: Callable, bracket: Bracket, derivative: bool = False, x0: Optional[float] = None
-) -> float:
-    """Root of ``f`` inside ``bracket``.
+def solve_root_bracketed(f: Callable, bracket: Bracket, x0: Optional[float] = None) -> float:
+    """Root of ``f`` inside ``bracket`` by safeguarded Newton steps.
 
-    Requires a sign change (or an exact zero) on the endpoints. By default
-    ``f`` returns f(x) and the solver bisects with secant acceleration:
-    the secant step is taken whenever it lands strictly inside the current
-    interval; otherwise the interval is bisected, so the 200-iteration cap
-    is never binding in practice.
-
-    With ``derivative=True``, ``f`` returns (f(x), f'(x)) and the solver
-    takes Newton steps from ``x0``, clamped to the bracket (default: the
-    endpoint with the smaller |f|). A step that leaves the bracket, or follows one that failed to
-    halve |f|, becomes a bisection; one that follows a same-sign step that
-    cut |f| less than tenfold is doubled. It stops at a step below the
-    tolerance, or when a rounding-size step fails to halve |f|.
+    ``f`` returns (f(x), f'(x)). Requires a sign change (or an exact zero)
+    on the endpoints. Steps start from ``x0``, clamped to the bracket
+    (default: the endpoint with the smaller |f|). A step that leaves the
+    bracket, or follows one that failed to halve |f|, becomes a bisection;
+    one that follows a same-sign step that cut |f| less than tenfold is
+    doubled. It stops at a step below the tolerance, or when a
+    rounding-size step fails to halve |f|.
     """
     a, b = bracket.lo, bracket.hi
     ya, yb = f(a), f(b)
-    fa, fb = (float(ya[0]), float(yb[0])) if derivative else (float(ya), float(yb))
+    fa, fb = float(ya[0]), float(yb[0])
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -101,34 +97,9 @@ def solve_root_bracketed(
     if (fa > 0) == (fb > 0):
         raise DomainError("bad-bracket-signs", f"f({a})={fa:.6g} and f({b})={fb:.6g} have the same sign")
     tol = max(bracket.tolerance, 4.0 * _EPS * max(1.0, abs(a), abs(b)))
-    if derivative:
-        x0 = (a if abs(fa) <= abs(fb) else b) if x0 is None else min(max(x0, a), b)
-        y0 = ya if x0 == a else yb if x0 == b else f(x0)
-        return _newton(f, (a, b) if fa < 0 else (b, a), x0, y0, tol)
-
-    widths = [b - a, b - a]
-    for _ in range(200):
-        width = b - a
-        if width <= tol:
-            break
-        # secant step, but force a bisection whenever the bracket failed
-        # to halve over the last two steps; plain secant can stagnate on
-        # plateaus
-        x_sec = None
-        if width <= 0.5 * widths[0] and fb != fa:
-            cand = b - fb * (b - a) / (fb - fa)
-            if a + 0.01 * width < cand < b - 0.01 * width:
-                x_sec = cand
-        widths = [widths[1], width]
-        x = x_sec if x_sec is not None else 0.5 * (a + b)
-        fx = float(f(x))
-        if fx == 0.0:
-            return x
-        if (fx > 0) == (fa > 0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    return a if abs(fa) <= abs(fb) else b
+    x0 = (a if abs(fa) <= abs(fb) else b) if x0 is None else min(max(x0, a), b)
+    y0 = ya if x0 == a else yb if x0 == b else f(x0)
+    return _newton(f, (a, b) if fa < 0 else (b, a), x0, y0, tol)
 
 
 def _newton(f, signs: tuple[float, float], x: float, y, tol: float) -> float:
@@ -167,39 +138,32 @@ def _newton(f, signs: tuple[float, float], x: float, y, tol: float) -> float:
 
 
 def minimize_scalar(
-    f: Callable[[float], float],
+    f: Callable[[float], tuple[float, float, float]],
     grid: Sequence[float],
     refine_tol: float = 1e-10,
 ) -> tuple[float, float]:
-    """Minimize ``f``: coarse scan over ``grid``, then golden-section
-    refinement inside the best grid cell.
+    """Minimize ``f``, which returns (f(x), f'(x), f''(x)): coarse scan
+    over ``grid``, then a Newton root of f' inside the best grid cell.
 
-    The grid guards against local minima of non-convex objectives; the
-    returned minimum never exceeds any grid sample. Returns
-    ``(argmin, minimum)``.
+    The cell runs from the best sample towards the neighbour whose slope
+    has the opposite sign; without one (the best sample is stationary, at
+    a grid end sloping outwards, or flanked by a slope of the same sign)
+    the sample is returned as it is. The grid guards against local minima
+    of non-convex objectives; the returned minimum never exceeds any grid
+    sample. Returns ``(argmin, minimum)``.
     """
     xs = sorted(float(x) for x in grid)
     if len(xs) < 3 or xs[0] == xs[-1]:
         raise ValidationError("bad-grid", "need at least 3 distinct grid points")
-    ys = [float(f(x)) for x in xs]
-    i = int(np.argmin(ys))
-    best_x, best_y = xs[i], ys[i]
+    ys = [tuple(map(float, f(x))) for x in xs]
+    i = int(np.argmin([y[0] for y in ys]))
+    best_x, (best_y, slope, _) = xs[i], ys[i]
 
-    lo = xs[max(0, i - 1)]
-    hi = xs[min(len(xs) - 1, i + 1)]
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = float(f(x1)), float(f(x2))
-    while hi - lo > refine_tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = float(f(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = float(f(x2))
-    for x, y in ((x1, f1), (x2, f2)):
-        if y < best_y:
-            best_x, best_y = x, y
-    return best_x, best_y
+    j = i + 1 if slope < 0.0 else i - 1 if slope > 0.0 else -1
+    if not (0 <= j < len(xs) and ys[j][1] * slope < 0.0):
+        return best_x, best_y
+    tol = max(refine_tol, 4.0 * _EPS * max(1.0, abs(best_x), abs(xs[j])))
+    signs = (best_x, xs[j]) if slope < 0.0 else (xs[j], best_x)
+    x = _newton(lambda t: f(t)[1:], signs, best_x, ys[i][1:], tol)
+    y = float(f(x)[0])
+    return (x, y) if y <= best_y else (best_x, best_y)

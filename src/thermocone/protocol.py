@@ -105,11 +105,11 @@ def renyi(p: Distribution) -> RenyiReport:
 
 def _greedy_assign(
     runs: Sequence[tuple[int, float]], targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Assign runs of (count, per-item probability) onto ``targets``.
 
-    Returns (coverage mass per target, fiber item-count per target, log of
-    (run index, target, items) batches).
+    Returns (coverage mass per target, fiber item-count per target, the
+    target that took each run's last item, -1 for an empty run).
     """
     n_targets = targets.size
     deficit = targets.astype(float).copy()
@@ -117,7 +117,7 @@ def _greedy_assign(
     fibers = np.zeros(n_targets, dtype=np.int64)
     heap: list[tuple[float, int]] = [(-float(deficit[y]), y) for y in range(n_targets)]
     heapq.heapify(heap)
-    log: list[tuple[int, int, int]] = []
+    last = [-1] * len(runs)
 
     for run_idx, (count, v) in enumerate(runs):
         remaining = int(count)
@@ -130,7 +130,6 @@ def _greedy_assign(
             elif d1 <= 0.0:
                 # all targets covered up to float crumbs; dump the rest here
                 k = remaining
-                tied = [y1]
             elif heap and -heap[0][0] == d1:
                 # plateau of exactly tied deficits: round-robin in batches
                 tied = [y1]
@@ -146,8 +145,8 @@ def _greedy_assign(
                         deficit[y] = d1 - rounds * v
                         coverage[y] += rounds * v
                         fibers[y] += rounds
-                        log.append((run_idx, y, rounds))
                         heapq.heappush(heap, (-(d1 - rounds * v), y))
+                    last[run_idx] = tied[-1]
                     remaining -= rounds * len(tied)
                     continue
                 # fewer items than plateau members: single item to lowest index
@@ -163,10 +162,10 @@ def _greedy_assign(
             deficit[y1] = d1 - k * v
             coverage[y1] += k * v
             fibers[y1] += k
-            log.append((run_idx, y1, k))
+            last[run_idx] = y1
             heapq.heappush(heap, (-float(deficit[y1]), y1))
             remaining -= k
-    return coverage, fibers, log
+    return coverage, fibers, last
 
 
 @dataclass(frozen=True)
@@ -202,10 +201,10 @@ def build_coarse_graining(p: Distribution, q: Distribution) -> CoarseGrainMap:
     p_arr = np.asarray(p.probabilities)
     order = sorted(range(len(p_arr)), key=lambda i: (-p_arr[i], i))
     runs = [(1, float(p_arr[i])) for i in order]
-    coverage, fibers, log = _greedy_assign(runs, q_arr)
+    coverage, fibers, last = _greedy_assign(runs, q_arr)
     assignment = [0] * len(p_arr)
-    for src, y, _count in log:
-        assignment[order[src]] = y
+    for src, y in zip(order, last):
+        assignment[src] = y
     rp, rq = renyi(p), renyi(q)
     p_support = [p.probabilities[i] for i in p.support()]
     p_max, p_min = max(p_support), min(p_support)
@@ -432,7 +431,7 @@ def run_entropy_protocol(
     mults = np.array([tc.multiplicity for tc in tq.type_classes])
     w_raw = np.repeat(np.array([tc.outcome_prob for tc in tq.type_classes]), mults)
     w_cond = w_raw / tq.p_typ
-    coverage, fibers, _log = _greedy_assign(runs, w_cond)
+    coverage, fibers, _ = _greedy_assign(runs, w_cond)
 
     map_distance = 0.5 * float(np.abs(coverage - w_cond).sum())
     out = tp.p_typ * coverage

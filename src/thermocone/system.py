@@ -188,6 +188,8 @@ class QuantumState:
 
 def _clip_spectrum(eigs: np.ndarray) -> np.ndarray:
     """Clip eigenvalues in [-1e-10, 0) to zero and renormalize."""
+    if not np.isfinite(eigs).all():
+        raise ValidationError("non-finite-eigenvalue", f"spectrum {eigs.tolist()} has a non-finite entry")
     if float(eigs.min(initial=0.0)) < -_NEG_EIG_TOL:
         raise ValidationError("negative-eigenvalue", f"eigenvalue {eigs.min():.3g} below -1e-10")
     eigs = np.clip(eigs, 0.0, None)

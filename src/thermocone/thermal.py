@@ -173,7 +173,7 @@ def _fold_solve(h: HamiltonianSpec, sign: float, gap, target: float, m0, x0: flo
         return (math.log(g / target), slope / g) if g > 0.0 else (-math.inf, 0.0)
 
     try:
-        b = solve_root_bracketed(f, Bracket(0.0, cap, tolerance=1e-14 * max(1.0, cap)), derivative=True, x0=x0)
+        b = solve_root_bracketed(f, Bracket(0.0, cap, tolerance=1e-14 * max(1.0, cap)), x0=x0)
     except DomainError:
         b = cap
     return sign * b

@@ -424,6 +424,37 @@ class TestErrorMapping:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "bad-number"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["wmax", "--rho", '{"matrix":[[[0.5,0],[NaN,0]],[[NaN,0],[0.5,0]]]}'], "non-finite-entry"),
+            (["wmax", "--rho", '{"spectrum":[NaN,0.5],"energy":0.5}'], "non-finite-eigenvalue"),
+            (["wmax", "--rho", '{"matrix":[[[0.5,0],[Infinity,0]],[[Infinity,0],[0.5,0]]]}'], "non-finite-entry"),
+            (
+                [
+                    "dilate",
+                    "--unitary",
+                    "[[[NaN,0],[0,0]],[[0,0],[1,0]]]",
+                    "--rho",
+                    '{"matrix":[[[0,0],[0,0]],[[0,0],[1,0]]]}',
+                    "--sigma",
+                    '{"matrix":[[[1,0],[0,0]],[[0,0],[0,0]]]}',
+                    "--m-levels",
+                    "[-3,-2,-1,0,1,2,3]",
+                    "--delta",
+                    "0.143",
+                ],
+                "not-unitary",
+            ),
+        ],
+        ids=["nan-matrix", "nan-spectrum", "infinite-matrix", "nan-unitary"],
+    )
+    def test_non_finite_entry_exits_2(self, capsys, recwarn, qubit_file, argv, error):
+        code, out, err = run_cli(capsys, argv[0], "--hamiltonian", qubit_file, *argv[1:])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
+        assert not [str(w.message) for w in recwarn]
+
     def test_non_numeric_distribution_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "coarse", "--p", '[0.5,"half"]', "--q", "[0.5,0.5]")
         assert code == 2

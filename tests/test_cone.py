@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from thermocone import (
     ConePoint,
     DomainError,
+    HamiltonianSpec,
     ValidationError,
     QuantumState,
     Verdict,
@@ -157,6 +160,81 @@ class TestRmax:
             base = r_max(h, a, b, tol=1e-10).rate_bisect
             scaled = r_max(h, a.scaled(lam), b, tol=1e-10).rate_bisect
             assert scaled == pytest.approx(lam * base, abs=1e-8)
+
+
+def stationary_beta(h, y_rho, y_sigma, start):
+    """A root of N'D - ND' at 40 digits, by mpmath's secant iteration from
+    ``start``, where N and D are the athermalities of ``y_rho`` and
+    ``y_sigma``: a stationary point of their ratio."""
+    with mpmath.workdps(40):
+        levels = [(mpmath.mpf(e), g) for e, g in h.levels]
+
+        def slope_numerator(beta):
+            weights = [(g * mpmath.exp(-beta * e), e) for e, g in levels]
+            z = mpmath.fsum(w for w, _ in weights)
+            energy = mpmath.fsum(w * e for w, e in weights) / z
+            n = beta * y_rho.energy - y_rho.entropy + y_rho.size * mpmath.log(z)
+            d = beta * y_sigma.energy - y_sigma.entropy + y_sigma.size * mpmath.log(z)
+            return (y_rho.energy - y_rho.size * energy) * d - n * (y_sigma.energy - y_sigma.size * energy)
+
+        return float(mpmath.findroot(slope_numerator, mpmath.mpf(start)))
+
+
+class TestArgminBeta:
+    def test_matches_high_precision_stationary_point(self):
+        rng = np.random.default_rng(42)
+        checked = 0
+        for _ in range(24):
+            h = random_hamiltonian(rng, degenerate=True)
+            y_rho, y_sigma = random_cone_point(rng, h), random_cone_point(rng, h)
+            beta = r_max(h, y_rho, y_sigma).argmin_beta
+            if beta is None or math.isinf(beta):
+                continue  # the entropy or an energy edge binds
+            assert beta == pytest.approx(stationary_beta(h, y_rho, y_sigma, beta), rel=1e-10)
+            checked += 1
+        assert checked >= 8
+
+    def test_balanced_qubit_pair_binds_at_beta_zero(self, qubit):
+        # rho has diagonal (1/2, 1/2) and sigma is pure at the same energy;
+        # the ratio is even in beta, so its minimum sits at beta = 0
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            c = rng.uniform(0.05, 0.45) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            psi = np.array([1.0, np.exp(1j * rng.uniform(0, 2 * np.pi))]) / math.sqrt(2.0)
+            rho = QuantumState.from_matrix([[0.5, c], [np.conj(c), 0.5]])
+            sigma = QuantumState.from_matrix(np.outer(psi, psi.conj()))
+            res = r_max(qubit, cone_point_of(rho, qubit), cone_point_of(sigma, qubit))
+            assert abs(res.argmin_beta) <= 1e-12
+
+    def test_refinement_evaluation_count(self, monkeypatch):
+        """The facet-side minimiser makes at most 12 objective evaluations
+        per call on every r_max of the benchmark's queries seeds 1-3."""
+        import thermocone.cone as cone_module
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        counts = []
+        minimize = cone_module.minimize_scalar
+
+        def counted(f, grid, refine_tol):
+            counts.append(0)
+
+            def g(x):
+                counts[-1] += 1
+                return f(x)
+
+            return minimize(g, grid, refine_tol)
+
+        monkeypatch.setattr(cone_module, "minimize_scalar", counted)
+        for seed in (1, 2, 3):
+            for op in workloads.build_queries(seed, tiny=False).ops:
+                q = op.data
+                h = HamiltonianSpec(tuple(q["levels"]))
+                rho, sigma = (cone_point_of(QuantumState.from_matrix(q[k]), h) for k in ("rho", "sigma"))
+                r_max(h, rho, sigma)
+        assert len(counts) == 450
+        assert max(counts) <= 12
 
 
 class TestToleranceValidation:

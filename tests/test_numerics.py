@@ -64,48 +64,33 @@ class TestEigvals:
             eigvals_hermitian(np.ones((2, 3)))
 
 
-class TestRootFinding:
+class TestNewtonRootFinding:
+    @staticmethod
+    def with_slope(f, df):
+        return lambda x: (f(x), df(x))
+
     def test_linear(self):
-        assert solve_root_bracketed(lambda x: x - 2.0, Bracket(0.0, 10.0)) == pytest.approx(2.0, abs=1e-10)
+        f = self.with_slope(lambda x: x - 2.0, lambda x: 1.0)
+        assert solve_root_bracketed(f, Bracket(0.0, 10.0)) == pytest.approx(2.0, abs=1e-10)
 
     def test_odd_symmetry(self):
-        assert solve_root_bracketed(lambda x: x, Bracket(-1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+        f = self.with_slope(lambda x: x, lambda x: 1.0)
+        assert solve_root_bracketed(f, Bracket(-1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential(self):
-        root = solve_root_bracketed(lambda x: math.exp(x) - 2.0, Bracket(0.0, 2.0))
-        assert root == pytest.approx(math.log(2.0), abs=1e-10)
+        f = self.with_slope(lambda x: math.exp(x) - 2.0, math.exp)
+        root = solve_root_bracketed(f, Bracket(0.0, 2.0))
+        assert root == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(DomainError):
-            solve_root_bracketed(lambda x: x * x + 1.0, Bracket(-1.0, 1.0))
+            solve_root_bracketed(self.with_slope(lambda x: x * x + 1.0, lambda x: 2.0 * x), Bracket(-1.0, 1.0))
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValidationError):
             Bracket(1.0, 1.0)
         with pytest.raises(ValidationError):
             Bracket(0.0, 1.0, tolerance=0.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        root=st.floats(-5.0, 5.0),
-        scale=st.floats(0.1, 10.0),
-        cubic=st.booleans(),
-    )
-    def test_monotone_root_recovered(self, root, scale, cubic):
-        f = (lambda x: scale * ((x - root) ** 3 + (x - root))) if cubic else (lambda x: scale * (x - root))
-        got = solve_root_bracketed(f, Bracket(-8.0, 8.0, tolerance=1e-12))
-        assert got == pytest.approx(root, abs=1e-9)
-
-
-class TestNewtonRootFinding:
-    @staticmethod
-    def with_slope(f, df):
-        return lambda x: (f(x), df(x))
-
-    def test_exponential(self):
-        f = self.with_slope(lambda x: math.exp(x) - 2.0, math.exp)
-        root = solve_root_bracketed(f, Bracket(0.0, 2.0), derivative=True)
-        assert root == pytest.approx(math.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("r", [-7.5, -3.0, -0.4, 0.0, 1.7, 5.0, 7.9])
     def test_overshooting_newton_falls_back_to_bisection(self, r):
@@ -114,42 +99,55 @@ class TestNewtonRootFinding:
         f = self.with_slope(lambda x: math.atan(x - r), lambda x: 1.0 / (1.0 + (x - r) ** 2))
         calls = []
         counted = lambda x: calls.append(x) or f(x)
-        got = solve_root_bracketed(counted, Bracket(-8.0, 8.0, tolerance=1e-12), derivative=True)
+        got = solve_root_bracketed(counted, Bracket(-8.0, 8.0, tolerance=1e-12))
         assert got == pytest.approx(r, abs=1e-10)
         assert len(calls) <= 60
 
     def test_start_point(self):
         f = self.with_slope(lambda x: x**3 - 2.0, lambda x: 3.0 * x**2)
-        got = solve_root_bracketed(f, Bracket(0.0, 4.0), derivative=True, x0=1.2)
+        got = solve_root_bracketed(f, Bracket(0.0, 4.0), x0=1.2)
         assert got == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
-    @given(root=st.floats(-5.0, 5.0), scale=st.floats(0.1, 10.0))
-    def test_monotone_root_recovered(self, root, scale):
-        f = self.with_slope(
-            lambda x: scale * ((x - root) ** 3 + (x - root)), lambda x: scale * (3.0 * (x - root) ** 2 + 1.0)
-        )
-        got = solve_root_bracketed(f, Bracket(-8.0, 8.0, tolerance=1e-12), derivative=True)
+    @given(root=st.floats(-5.0, 5.0), scale=st.floats(0.1, 10.0), cubic=st.booleans())
+    def test_monotone_root_recovered(self, root, scale, cubic):
+        if cubic:
+            f = self.with_slope(
+                lambda x: scale * ((x - root) ** 3 + (x - root)), lambda x: scale * (3.0 * (x - root) ** 2 + 1.0)
+            )
+        else:
+            f = self.with_slope(lambda x: scale * (x - root), lambda x: scale)
+        got = solve_root_bracketed(f, Bracket(-8.0, 8.0, tolerance=1e-12))
         assert got == pytest.approx(root, abs=1e-9)
 
 
 class TestMinimizeScalar:
     def test_quadratic(self):
-        x, v = minimize_scalar(lambda x: (x - 3.0) ** 2, np.linspace(0.0, 6.0, 25), refine_tol=1e-8)
+        f = lambda x: ((x - 3.0) ** 2, 2.0 * (x - 3.0), 2.0)
+        x, v = minimize_scalar(f, np.linspace(0.0, 6.0, 25), refine_tol=1e-8)
         assert x == pytest.approx(3.0, abs=1e-6)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_even_function(self):
-        x, v = minimize_scalar(math.cosh, np.linspace(-2.0, 2.0, 21), refine_tol=1e-8)
+        f = lambda x: (math.cosh(x), math.sinh(x), math.cosh(x))
+        x, v = minimize_scalar(f, np.linspace(-2.0, 2.0, 21), refine_tol=1e-8)
         assert x == pytest.approx(0.0, abs=1e-6)
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_athermality_ratio_objective(self, qubit):
-        from thermocone import Macrostate, athermality
+        from thermocone import Macrostate, athermality, energy_variance, thermal_point
 
         top = Macrostate(0.5, 0.2)
         bottom = Macrostate(0.5, 0.0)
-        ratio = lambda b: athermality(qubit, top, b) / athermality(qubit, bottom, b)
+
+        def ratio(b):
+            # both points sit at E = 0.5: A_beta' = 0.5 - E(tau_beta), A_beta'' = Var(tau_beta)
+            n, d = athermality(qubit, top, b), athermality(qubit, bottom, b)
+            slope, var = 0.5 - thermal_point(qubit, b).energy, energy_variance(qubit, b)
+            r = n / d
+            dr = slope * (1.0 - r) / d
+            return r, dr, (var * (1.0 - r) - 2.0 * dr * slope) / d
+
         x, v = minimize_scalar(ratio, np.linspace(-2.0, 2.0, 41), refine_tol=1e-8)
         assert x == pytest.approx(0.0, abs=1e-5)
         assert v == pytest.approx(RATE_QUBIT_EXAMPLE, abs=1e-10)
@@ -161,19 +159,29 @@ class TestMinimizeScalar:
             grid = np.sort(rng.uniform(-4.0, 4.0, size=9))
             if grid[0] == grid[-1]:
                 continue
-            f = lambda x: math.sin(3 * x) + 0.2 * (x - c) ** 2
+            f = lambda x: (
+                math.sin(3 * x) + 0.2 * (x - c) ** 2,
+                3.0 * math.cos(3 * x) + 0.4 * (x - c),
+                -9.0 * math.sin(3 * x) + 0.4,
+            )
             _, v = minimize_scalar(f, grid, refine_tol=1e-9)
-            assert all(v <= f(x) + 1e-15 for x in grid)
+            assert all(v <= f(x)[0] + 1e-15 for x in grid)
 
     def test_convex_recovers_minimizer(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             c = float(rng.uniform(-2.5, 2.5))
-            x, _ = minimize_scalar(lambda t: (t - c) ** 2, np.linspace(-3.0, 3.0, 13), refine_tol=1e-6)
+            f = lambda t: ((t - c) ** 2, 2.0 * (t - c), 2.0)
+            x, _ = minimize_scalar(f, np.linspace(-3.0, 3.0, 13), refine_tol=1e-6)
             assert x == pytest.approx(c, abs=1e-6)
 
+    def test_grid_end_sloping_outwards_is_returned(self):
+        f = lambda x: (x, 1.0, 0.0)
+        assert minimize_scalar(f, [0.0, 1.0, 2.0], refine_tol=1e-9) == (0.0, 0.0)
+
     def test_degenerate_grid_rejected(self):
+        f = lambda x: (x, 1.0, 0.0)
         with pytest.raises(ValidationError):
-            minimize_scalar(lambda x: x, [0.0, 1.0], refine_tol=1e-6)
+            minimize_scalar(f, [0.0, 1.0], refine_tol=1e-6)
         with pytest.raises(ValidationError):
-            minimize_scalar(lambda x: x, [1.0, 1.0, 1.0], refine_tol=1e-6)
+            minimize_scalar(f, [1.0, 1.0, 1.0], refine_tol=1e-6)
