@@ -64,6 +64,26 @@ class TestEigvals:
             eigvals_hermitian(np.ones((2, 3)))
 
 
+class TestRootFinding:
+    """Objectives whose Newton steps from an endpoint leave the bracket."""
+
+    def test_exponential(self):
+        # the first Newton step from x=-10 lands near 2e10
+        f = lambda x: (math.exp(x) - 2.0, math.exp(x))
+        root = solve_root_bracketed(f, Bracket(-10.0, 10.0, tolerance=1e-12))
+        assert root == pytest.approx(math.log(2.0), abs=1e-10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(root=st.floats(-5.0, 5.0), scale=st.floats(0.1, 10.0), saturating=st.booleans())
+    def test_monotone_root_recovered(self, root, scale, saturating):
+        if saturating:
+            f = lambda x: (scale * math.tanh(x - root), scale / math.cosh(x - root) ** 2)
+        else:
+            f = lambda x: (scale * math.expm1(x - root), scale * math.exp(x - root))
+        got = solve_root_bracketed(f, Bracket(-8.0, 8.0, tolerance=1e-12))
+        assert got == pytest.approx(root, abs=1e-9)
+
+
 class TestNewtonRootFinding:
     @staticmethod
     def with_slope(f, df):
