@@ -271,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("rate", _cmd_rate, "maximal conversion rate, both algorithms")
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative stopping width of the boundary Newton solve (rate_bisect)")
 
     p = command("decompose", _cmd_decompose, "split a macrostate over {thermal, ground, top}")
     p.add_argument("--macro", required=True)

@@ -8,8 +8,14 @@ functional A_beta is nonnegative on it. One state converts into another
 of their points is a member, and the best conversion rate is computed
 two independent ways:
 
-* ``rate_bisect``: bisection on membership of y_rho - r*y_sigma, i.e.
-  push r up to where the segment leaves the cone (authoritative);
+* ``rate_bisect``: the boundary test along y(r) = y_rho - r*y_sigma,
+  i.e. push r up to where the ray leaves the cone (authoritative). The
+  first linear facet the ray crosses (size, entropy, ground or top edge,
+  each in closed form) bounds r; below it, the slack of the curved facet,
+  g(r) = n*S_max(E/n) - S, is concave in r with slope -A_beta(y_sigma),
+  so one bracketed Newton solve from the right end finds where it
+  vanishes. The name is kept from an earlier membership bisection, so
+  that stored outputs keep their keys;
 * ``rate_monotone``: the smallest ratio of an additive monotone
   (entropy, the A_beta family, and the two energy-edge functionals) on
   rho versus sigma, skipping zero denominators (cross-check).
@@ -17,17 +23,24 @@ two independent ways:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .diagram import DEFAULT_BOUNDARY_TOL, Verdict, check_tolerance, diagram_contains
+from .diagram import (
+    DEFAULT_BOUNDARY_TOL,
+    Verdict,
+    check_tolerance,
+    diagram_contains,
+    max_entropy_at_energy,
+)
 from .errors import DomainError
-from .numerics import minimize_scalar
+from .numerics import Bracket, minimize_scalar, solve_root_bracketed
 from .system import ConePoint, HamiltonianSpec, Macrostate
-from .thermal import beta_cap, energy_variance, log_partition, thermal_point
+from .thermal import beta_cap, beta_from_energy, energy_variance, log_partition, thermal_point
 
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
@@ -98,6 +111,21 @@ def _slack(y: ConePoint, beta, log_z):
     return beta * y.energy - y.entropy + y.size * log_z
 
 
+def _boundary_slack(h: HamiltonianSpec, y_rho: ConePoint, y_sigma: ConePoint, r: float):
+    """(g, g') at y = y_rho - r*y_sigma, where g = n*S_max(E/n) - S is the
+    slack of the curved facet and g' = -A_beta(y_sigma) at the thermal
+    point of energy E/n. The slope is nan where it does not exist: at
+    E/n = E_min or E_max, and at the apex n <= 0, where g is -S."""
+    y = y_rho - y_sigma.scaled(r)
+    if y.size <= 0.0:
+        return -y.entropy, math.nan
+    e = min(max(y.energy / y.size, h.e_min), h.e_max)
+    if h.e_min < e < h.e_max:
+        tp = thermal_point(h, beta_from_energy(h, e))
+        return y.size * tp.entropy - y.entropy, -_slack(y_sigma, tp.beta, tp.log_z)
+    return y.size * max_entropy_at_energy(h, e) - y.entropy, math.nan
+
+
 def r_max(
     h: HamiltonianSpec,
     y_rho: ConePoint,
@@ -105,7 +133,8 @@ def r_max(
     tol: float = 1e-8,
 ) -> RateResult:
     """Maximal conversion rate from rho to sigma, by both algorithms;
-    ``tol`` (> 0) is the relative width at which the bisection stops."""
+    ``tol`` (> 0) is the relative width at which the boundary Newton
+    solve stops (``rate_bisect``)."""
     check_tolerance(tol, positive=True)
     scale = max(1.0, abs(y_rho.size), abs(y_sigma.size))
     if max(abs(y_sigma.energy), abs(y_sigma.entropy), abs(y_sigma.size)) <= 1e-15 * scale:
@@ -115,14 +144,27 @@ def r_max(
             raise DomainError("not-a-member", f"{name} point {y} is not a cone member")
 
     floor = 1e-12 * scale
+    edge_floor = floor * (1.0 + h.e_max - h.e_min)
+    g_rho, t_rho = edge_monotones(h, y_rho)
+    g_sigma, t_sigma = edge_monotones(h, y_sigma)
+    # the ray y(r) = y_rho - r*y_sigma first crosses a linear facet (size,
+    # entropy, ground or top edge) at r_hi; it crosses none only when the
+    # target is zero to within the floor
+    facets = zip(
+        (y_rho.size, y_rho.entropy, g_rho, t_rho),
+        (y_sigma.size, y_sigma.entropy, g_sigma, t_sigma),
+        (0.0, floor, edge_floor, edge_floor),
+    )
+    r_hi = min((max(0.0, a) / b for a, b, least in facets if b > least), default=math.inf)
+    if not math.isfinite(r_hi):
+        raise DomainError("zero-target", "target point is zero; the rate is unbounded")
+
     candidates: list[tuple[float, Optional[float]]] = []
     if y_sigma.entropy > floor:
         candidates.append((max(0.0, y_rho.entropy) / y_sigma.entropy, None))
-    g_rho, t_rho = edge_monotones(h, y_rho)
-    g_sigma, t_sigma = edge_monotones(h, y_sigma)
-    if g_sigma > floor * (1.0 + h.e_max - h.e_min):
+    if g_sigma > edge_floor:
         candidates.append((max(0.0, g_rho) / g_sigma, math.inf))
-    if t_sigma > floor * (1.0 + h.e_max - h.e_min):
+    if t_sigma > edge_floor:
         candidates.append((max(0.0, t_rho) / t_sigma, -math.inf))
 
     betas = _athermality_grid(h)
@@ -162,24 +204,17 @@ def r_max(
         candidates.append((y_rho.size / y_sigma.size, None))
     rate_monotone, argmin_beta = min(candidates, key=lambda c: c[0])
 
-    # bisection on membership of y_rho - r*y_sigma
-    hi0 = min(y_rho.size / y_sigma.size, *(r for r, _ in candidates))
-    if hi0 <= 0.0:
-        rate_bisect = 0.0
+    # the boundary test: where the ray leaves the cone, at r_hi or where
+    # the curved facet's slack g vanishes below it
+    slack = functools.cache(lambda r: _boundary_slack(h, y_rho, y_sigma, r))
+    if r_hi <= 0.0 or slack(r_hi)[0] >= -floor:
+        rate_bisect = r_hi  # a linear facet binds
+    elif slack(0.0)[0] <= 0.0:
+        rate_bisect = 0.0  # the source sits on the boundary
     else:
-        member_tol = 1e-12 * scale
-        lo_r, hi_r = 0.0, hi0 * (1.0 + 1e-3) + 1e-12
-        for _ in range(60):
-            if not cone_contains(h, y_rho - y_sigma.scaled(hi_r), member_tol).is_member:
-                break
-            hi_r *= 2.0
-        while hi_r - lo_r > tol * max(1.0, lo_r):
-            mid = 0.5 * (lo_r + hi_r)
-            if cone_contains(h, y_rho - y_sigma.scaled(mid), member_tol).is_member:
-                lo_r = mid
-            else:
-                hi_r = mid
-        rate_bisect = lo_r
+        # g is concave, so Newton steps from the right end never overshoot
+        bracket = Bracket(0.0, r_hi, tolerance=tol * max(1.0, r_hi))
+        rate_bisect = solve_root_bracketed(slack, bracket, x0=r_hi)
 
     return RateResult(
         rate_bisect=rate_bisect,

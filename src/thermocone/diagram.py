@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .system import HamiltonianSpec, Macrostate, QuantumState, macrostate_of
-from .thermal import beta_from_energy, beta_from_entropy, log_partition, thermal_point
+from .thermal import _shifted_weights, beta_from_energy, beta_from_entropy, log_partition, thermal_point
 
 __all__ = [
     "Verdict",
@@ -60,8 +60,10 @@ def athermality(h: HamiltonianSpec, x: Macrostate, beta: float) -> float:
     nonnegative on every achievable macrostate, linear in x."""
     if not math.isfinite(beta):
         raise ValidationError("bad-beta", "beta must be finite")
-    log_z = float(log_partition(h, beta)[0])
-    return beta * x.energy - x.entropy + log_z
+    # the scalar kernel at any finite beta: thermal_point's plateau rule
+    # would drop the weights of levels close to the extreme one
+    ref, g_ref, rest, _, _ = _shifted_weights(h, beta)
+    return beta * x.energy - x.entropy + (math.log(g_ref + rest) - beta * ref)
 
 
 def max_entropy_at_energy(h: HamiltonianSpec, energy: float) -> float:

@@ -19,6 +19,7 @@ from thermocone import (
     r_max,
     thermal_point,
 )
+from thermocone.thermal import beta_from_energy
 
 import frozen_values as fv
 from conftest import random_density_matrix, random_hamiltonian
@@ -113,6 +114,12 @@ class TestRmax:
     def test_zero_target_rejected(self, qubit):
         with pytest.raises(DomainError):
             r_max(qubit, ConePoint(0.5, 0.2, 1.0), ConePoint(0.0, 0.0, 0.0))
+
+    def test_target_crossing_no_facet_rejected(self, qubit):
+        # a member within the apex tolerance, with no facet value above the floor
+        with pytest.raises(DomainError) as err:
+            r_max(qubit, ConePoint(0.5, 0.2, 1.0), ConePoint(0.0, 1e-12, 0.0))
+        assert err.value.code == "zero-target"
 
     def test_non_member_rejected(self, qubit):
         with pytest.raises(DomainError):
@@ -235,6 +242,115 @@ class TestArgminBeta:
                 r_max(h, rho, sigma)
         assert len(counts) == 450
         assert max(counts) <= 12
+
+
+def boundary_root(h, y_rho, y_sigma, start):
+    """The root of g(r) = n*S_max(E/n) - S along y_rho - r*y_sigma at 40
+    digits, by mpmath's Anderson iteration on a bracket of width 2e-9
+    around ``start``; S_max at each energy comes from a 40-digit secant
+    solve of E(tau_beta) = E/n started from the float inverse."""
+    with mpmath.workdps(40):
+        levels = [(mpmath.mpf(e), g) for e, g in h.levels]
+
+        def log_z_and_energy(beta):
+            weights = [(g * mpmath.exp(-beta * e), e) for e, g in levels]
+            z = mpmath.fsum(w for w, _ in weights)
+            return mpmath.log(z), mpmath.fsum(w * e for w, e in weights) / z
+
+        def g(r):
+            n = y_rho.size - r * y_sigma.size
+            e = (y_rho.energy - r * y_sigma.energy) / n
+            beta = mpmath.findroot(lambda b: log_z_and_energy(b)[1] - e, beta_from_energy(h, float(e)))
+            return n * (log_z_and_energy(beta)[0] + beta * e) - (y_rho.entropy - r * y_sigma.entropy)
+
+        width = mpmath.mpf(1e-9) * max(1.0, start)
+        return float(mpmath.findroot(g, (start - width, start + width), solver="anderson"))
+
+
+class TestBoundarySolve:
+    def test_matches_high_precision_boundary_root(self):
+        rng = np.random.default_rng(44)
+        checked = 0
+        for _ in range(40):
+            h = random_hamiltonian(rng, degenerate=True)
+            y_rho, y_sigma = random_cone_point(rng, h), random_cone_point(rng, h)
+            res = r_max(h, y_rho, y_sigma)
+            if res.argmin_beta is None or math.isinf(res.argmin_beta) or res.rate_bisect == 0.0:
+                continue  # a linear facet binds, or the source is on the boundary
+            want = boundary_root(h, y_rho, y_sigma, res.rate_bisect)
+            assert res.rate_bisect == pytest.approx(want, rel=1e-12, abs=0)
+            checked += 1
+        assert checked >= 20
+
+    def test_qubit_closed_form(self, qubit):
+        res = r_max(qubit, ConePoint(0.5, 0.2, 1.0), ConePoint(0.5, 0.0, 1.0))
+        assert res.rate_bisect == pytest.approx(1.0 - 0.2 / math.log(2.0), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.4, 1.0, 2.5])
+    def test_apex_exit(self, c):
+        h = HamiltonianSpec(((-0.5, 2), (0.25, 1), (1.5, 3)))
+        y_sigma = ConePoint(0.3, 0.9, 1.3)
+        res = r_max(h, y_sigma.scaled(c), y_sigma)
+        assert res.rate_bisect == pytest.approx(c, rel=1e-12)
+
+    def test_entropy_facet_exit(self, qubit):
+        # the entropy reaches 0 at r = 0.2/0.3 while the energy per copy stays 1/2
+        res = r_max(qubit, ConePoint(0.5, 0.2, 1.0), ConePoint(0.25, 0.3, 0.5))
+        assert res.rate_bisect == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+    def test_ground_edge_exit(self):
+        # at r = 0.6 the point is (E_min, 0.35) per copy, inside as log 2 > 0.35
+        h = HamiltonianSpec(((0.0, 2), (1.0, 1)))
+        res = r_max(h, ConePoint(0.3, 0.2, 1.0), ConePoint(0.5, 0.1, 1.0))
+        assert res.rate_bisect == pytest.approx(0.6, rel=1e-14)
+
+    def test_top_edge_exit(self):
+        h = HamiltonianSpec(((0.0, 1), (1.0, 2)))
+        res = r_max(h, ConePoint(0.7, 0.2, 1.0), ConePoint(0.5, 0.1, 1.0))
+        assert res.rate_bisect == pytest.approx(0.6, rel=1e-14)
+
+    def test_source_on_boundary_gives_zero(self):
+        h = HamiltonianSpec(((-0.5, 2), (0.25, 1), (1.5, 3)))
+        for beta in (-1.2, 0.3, 2.0):
+            tp = thermal_point(h, beta)
+            res = r_max(h, ConePoint(tp.energy, tp.entropy, 1.0).scaled(1.7), ConePoint(0.3, 0.9, 1.3))
+            assert res.rate_bisect == pytest.approx(0.0, abs=1e-12)
+
+    def test_evaluation_counts(self, monkeypatch):
+        """Over every r_max of the benchmark's queries seeds 1-3: at most 8
+        boundary evaluations on average and 24 in one call, and no
+        membership calls beyond the two member checks."""
+        import thermocone.cone as cone_module
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        counts = {"slack": 0, "contains": 0}
+        slack, contains = cone_module._boundary_slack, cone_module.cone_contains
+
+        def counted(name, f):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cone_module, "_boundary_slack", counted("slack", slack))
+        monkeypatch.setattr(cone_module, "cone_contains", counted("contains", contains))
+        evals, members = [], []
+        for seed in (1, 2, 3):
+            for op in workloads.build_queries(seed, tiny=False).ops:
+                q = op.data
+                h = HamiltonianSpec(tuple(q["levels"]))
+                rho, sigma = (cone_point_of(QuantumState.from_matrix(q[k]), h) for k in ("rho", "sigma"))
+                counts.update(slack=0, contains=0)
+                r_max(h, rho, sigma)
+                evals.append(counts["slack"])
+                members.append(counts["contains"])
+        assert len(evals) == 450
+        assert sum(evals) / len(evals) <= 8
+        assert max(evals) <= 24
+        assert max(members) <= 2
 
 
 class TestToleranceValidation:

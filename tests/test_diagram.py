@@ -22,6 +22,8 @@ from thermocone import (
     w_max,
 )
 
+from thermocone.thermal import beta_cap, log_partition
+
 import frozen_values as fv
 from conftest import random_density_matrix, random_hamiltonian, well_gapped_hamiltonian
 
@@ -59,6 +61,21 @@ class TestAthermality:
             x = macrostate_of(QuantumState.from_matrix(random_density_matrix(rng, h.dim)), h)
             for beta in rng.uniform(-4, 4, size=5):
                 assert athermality(h, x, float(beta)) >= -1e-10
+
+    def test_matches_array_kernel(self):
+        """The scalar path agrees with ``log_partition`` to 2 ulp of the
+        terms' scale, also for |beta| beyond the cap, where the weights of
+        levels close to the extreme one are still resolved."""
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            h = random_hamiltonian(rng, d_min=2, d_max=6, degenerate=True)
+            x = macrostate_of(QuantumState.from_matrix(random_density_matrix(rng, h.dim)), h)
+            for beta in rng.uniform(-3.0, 3.0, size=8) * beta_cap(h):
+                beta = float(beta)
+                log_z = float(log_partition(h, beta)[0])
+                scale = abs(beta * x.energy) + x.entropy + abs(log_z)
+                want = beta * x.energy - x.entropy + log_z
+                assert abs(athermality(h, x, beta) - want) <= 2 * math.ulp(scale)
 
 
 class TestMaxEntropy:
