@@ -10,7 +10,6 @@ Distances between distributions are total variation (half the l1 sum).
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,11 +94,14 @@ def renyi(p: Distribution) -> RenyiReport:
 # ---------------------------------------------------------------------------
 # Greedy coverage engine
 #
-# Sources arrive as runs of equal-probability items. Each item goes to the
-# target with the largest remaining deficit q_y - covered(y) (lowest index on
-# ties), and a target stops receiving once covered. Runs let the uniform and
-# near-uniform cases batch thousands of items per heap operation while staying
-# execution-equivalent to the item-at-a-time greedy.
+# Item by item, the greedy gives each item to the target with the largest
+# remaining deficit d_y = q_y - covered(y), lowest index on ties, and once no
+# deficit is positive, to the argmax. Sources arrive as runs of m items of
+# mass v, and a run is one step: target y bids d_y, d_y - v, d_y - 2v, ...,
+# and the run takes the m highest positive bids. Bid i of y from the bottom
+# is s_y + i*v with s_y in (0, v], so each level i ranks its bidders alike
+# (s_y descending, then y ascending) and lies wholly above level i - 1: the
+# run fills whole levels from the top, then the first r bidders of one level.
 # ---------------------------------------------------------------------------
 
 
@@ -111,60 +113,38 @@ def _greedy_assign(
     Returns (coverage mass per target, fiber item-count per target, the
     target that took each run's last item, -1 for an empty run).
     """
-    n_targets = targets.size
-    deficit = targets.astype(float).copy()
-    coverage = np.zeros(n_targets)
-    fibers = np.zeros(n_targets, dtype=np.int64)
-    heap: list[tuple[float, int]] = [(-float(deficit[y]), y) for y in range(n_targets)]
-    heapq.heapify(heap)
+    deficit = targets.astype(float)
+    coverage = np.zeros(deficit.size)
+    fibers = np.zeros(deficit.size, dtype=np.int64)
     last = [-1] * len(runs)
-
     for run_idx, (count, v) in enumerate(runs):
-        remaining = int(count)
-        while remaining > 0:
-            d1_neg, y1 = heapq.heappop(heap)
-            d1 = -d1_neg
-            if v <= 0.0:
-                # zero-mass items: park them all on the current argmax
-                k = remaining
-            elif d1 <= 0.0:
-                # all targets covered up to float crumbs; dump the rest here
-                k = remaining
-            elif heap and -heap[0][0] == d1:
-                # plateau of exactly tied deficits: round-robin in batches
-                tied = [y1]
-                while heap and -heap[0][0] == d1:
-                    tied.append(heapq.heappop(heap)[1])
-                tied.sort()
-                d_next = -heap[0][0] if heap else -math.inf
-                r_cov = max(1, math.ceil(d1 / v - 1e-12))
-                r_dom = max(1, int((d1 - max(d_next, 0.0)) / v) + 1) if d_next > 0 else r_cov
-                rounds = min(remaining // len(tied), r_cov, r_dom)
-                if rounds >= 1:
-                    for y in tied:
-                        deficit[y] = d1 - rounds * v
-                        coverage[y] += rounds * v
-                        fibers[y] += rounds
-                        heapq.heappush(heap, (-(d1 - rounds * v), y))
-                    last[run_idx] = tied[-1]
-                    remaining -= rounds * len(tied)
-                    continue
-                # fewer items than plateau members: single item to lowest index
-                k = 1
-                y1 = tied[0]
-                for y in tied[1:]:
-                    heapq.heappush(heap, (-d1, y))
-            else:
-                d2 = -heap[0][0] if heap else -math.inf
-                k_cov = max(1, math.ceil(d1 / v - 1e-12))
-                k_dom = max(1, int((d1 - d2) / v) + 1) if d2 > 0.0 else k_cov
-                k = min(remaining, k_cov, k_dom)
-            deficit[y1] = d1 - k * v
-            coverage[y1] += k * v
-            fibers[y1] += k
-            last[run_idx] = y1
-            heapq.heappush(heap, (-float(deficit[y1]), y1))
-            remaining -= k
+        m = int(count)
+        if m > 1 and v > 0.0 and (d_max := float(deficit.max())) > 0.0:
+            # only bids above d_max - m*v are reachable: at most about m levels each
+            bids = np.ceil(np.maximum(deficit - max(0.0, d_max - m * v), 0.0) / v).astype(np.int64)
+            # the partly filled level L has A(L) >= m > A(L + 1) bids at or above it,
+            # A(L) = sum(max(bids - L, 0)) = (sum of the k counts above L) - k*L
+            desc = np.append(np.sort(bids)[::-1], 0)
+            tops = np.cumsum(desc)
+            k = int(np.searchsorted(tops - np.arange(1, desc.size + 1) * desc, m))
+            level = max(0, (int(tops[k - 1]) - m) // k)
+            take = np.maximum(bids - level - 1, 0)
+            bidders = np.flatnonzero(bids > level)
+            at_level = deficit[bidders] - (bids[bidders] - 1 - level) * v
+            chosen = bidders[np.argsort(-at_level, kind="stable")][: m - int(take.sum())]
+            take[chosen] += 1
+            deficit -= take * v
+            coverage += take * v
+            fibers += take
+            m -= int(take.sum())
+            last[run_idx] = int(chosen[-1]) if chosen.size else -1
+        if m > 0:
+            # single items, zero-mass items, and items past every positive bid
+            y = int(deficit.argmax())
+            deficit[y] -= m * v
+            coverage[y] += m * v
+            fibers[y] += m
+            last[run_idx] = y
     return coverage, fibers, last
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,9 +99,13 @@ class HamiltonianSpec:
         """Per-basis-state energies (levels repeated by degeneracy)."""
         return np.repeat(self.energies(), [g for _, g in self.levels])
 
+    @cached_property
+    def _mixed_energy(self) -> float:
+        return float(np.dot(self.energies(), self.degeneracies()) / self.dim)
+
     def mixed_energy(self) -> float:
         """Average energy of the maximally mixed state."""
-        return float(np.dot(self.energies(), self.degeneracies()) / self.dim)
+        return self._mixed_energy
 
     def to_json(self) -> dict:
         return {"levels": [{"energy": e, "degeneracy": g} for e, g in self.levels]}

@@ -164,19 +164,19 @@ def _fold_solve(h: HamiltonianSpec, sign: float, gap, target: float, m0, x0: flo
     """beta = sign*b solving gap(moments at beta, b) = target on
     [0, beta_cap], where ``gap`` gives the distance of E or S from its
     plateau and the b-derivative (``m0``: moments at b = 0). Newton steps
-    from ``x0`` act on log(gap/target), which is almost linear in b as
-    the gap decays exponentially; sign*cap if the target is not reached."""
-    cap = beta_cap(h)
+    from ``x0`` act on log(gap/target), almost linear as the gap decays,
+    in the unit-free t = b*span; sign*cap if the target is not reached."""
+    cap, span = beta_cap(h), h.e_max - h.e_min
 
-    def f(b):
-        g, slope = gap(m0 if b == 0.0 else _moments(h, sign * b), b)
-        return (math.log(g / target), slope / g) if g > 0.0 else (-math.inf, 0.0)
+    def f(t):
+        g, slope = gap(m0 if t == 0.0 else _moments(h, sign * t / span), t / span)
+        return (math.log(g / target), slope / g / span) if g > 0.0 else (-math.inf, 0.0)
 
     try:
-        b = solve_root_bracketed(f, Bracket(0.0, cap, tolerance=1e-14 * max(1.0, cap)), x0=x0)
+        t = solve_root_bracketed(f, Bracket(0.0, cap * span, tolerance=1e-14 * cap * span), x0=x0 * span)
     except DomainError:
-        b = cap
-    return sign * b
+        return sign * cap
+    return sign * min(t / span, cap)
 
 
 def beta_from_energy(h: HamiltonianSpec, energy: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from thermocone import (
     run_entropy_protocol,
     typical_set,
 )
+from thermocone import protocol
 
 
 def random_distribution(rng, size):
@@ -106,6 +108,96 @@ class TestCoarseGraining:
             assert all(0 <= y < len(q.probabilities) for y in result.assignment)
 
 
+def item_greedy(runs, targets):
+    """Reference for ``protocol._greedy_assign``, one item at a time: each
+    item goes to the largest deficit (lowest index on ties); once v <= 0 or
+    no deficit is positive, the rest of the run goes to the argmax."""
+    deficit = np.array(targets, dtype=float)
+    coverage = np.zeros(deficit.size)
+    fibers = np.zeros(deficit.size, dtype=np.int64)
+    last = []
+    for count, v in runs:
+        y = -1
+        for left in range(count, 0, -1):
+            y = int(np.argmax(deficit))
+            k = left if v <= 0.0 or deficit[y] <= 0.0 else 1
+            deficit[y] -= k * v
+            coverage[y] += k * v
+            fibers[y] += k
+            if k == left:
+                break
+        last.append(y)
+    return coverage, fibers, last
+
+
+def assert_matches_item_greedy(runs, targets):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        coverage, fibers, last = protocol._greedy_assign(runs, np.asarray(targets, dtype=float))
+    want_coverage, want_fibers, want_last = item_greedy(runs, targets)
+    assert fibers.tolist() == want_fibers.tolist()
+    assert last == want_last
+    # the reference adds one item at a time: at most one rounding per item
+    tol = np.finfo(float).eps * np.maximum(fibers, 1) * np.maximum(np.abs(want_coverage), 1.0)
+    assert np.all(np.abs(coverage - want_coverage) <= tol)
+
+
+class TestGreedyEngine:
+    """The level fill against the item-level greedy it batches."""
+
+    def test_seeded_run_sets(self):
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            targets = rng.dirichlet(np.ones(int(rng.integers(1, 9))))
+            if rng.random() < 0.3:  # exactly repeated targets
+                targets = np.repeat(targets[: max(1, targets.size // 2)], 2)
+            runs = []
+            for _ in range(int(rng.integers(1, 6))):
+                m, kind = int(rng.integers(0, 40)), rng.random()
+                if kind < 0.1:
+                    v = 0.0
+                elif kind < 0.15:
+                    v = 1e-300
+                elif kind < 0.3:  # over-covering
+                    v = float(rng.uniform(0.2, 1.0))
+                else:
+                    v = float(rng.uniform(0.0, 2.0 / max(m, 1)))
+                runs.append((m, v))
+            assert_matches_item_greedy(runs, targets)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-8, 64), min_size=1, max_size=10),
+        st.lists(
+            st.tuples(st.integers(0, 30), st.one_of(st.integers(0, 80).map(lambda j: j / 64), st.just(1e-300))),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_dyadic_run_sets(self, numerators, runs):
+        # small dyadic masses make every deficit exact, so ties are exact and frequent
+        assert_matches_item_greedy(runs, [x / 64 for x in numerators])
+
+    def test_protocol_matches_item_greedy(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        cases = []
+        while len(cases) < 40:
+            p = Distribution(tuple(rng.dirichlet(np.full(int(rng.integers(2, 5)), 4.0))))
+            q = Distribution(tuple(rng.permutation(p.probabilities)))
+            k = int(rng.integers(1, 6))
+            for n in range(int(rng.integers(4, 9)), 12):
+                try:  # the smallest n whose typical sets are not empty
+                    cases.append((p, q, n, k, run_entropy_protocol(p, q, n, ancilla_bits=k)))
+                    break
+                except DomainError:
+                    pass
+        monkeypatch.setattr(protocol, "_greedy_assign", item_greedy)
+        for p, q, n, k, rep in cases:
+            want = run_entropy_protocol(p, q, n, ancilla_bits=k)
+            assert rep.max_fiber == want.max_fiber
+            assert abs(rep.map_distance - want.map_distance) <= 1e-12 + 1e-9 * want.map_distance
+
+
 class TestTypicalSet:
     def test_deterministic_source(self):
         ts = typical_set(Distribution((1.0, 0.0)), 6)
@@ -187,6 +279,14 @@ class TestEntropyProtocol:
             rep = run_entropy_protocol(p, q, n, ancilla_bits=8)
             assert rep.map_distance <= rep.l1_bound + 1e-12
             assert rep.max_fiber <= rep.fibre_size_bound
+
+    def test_readme_case_map_distance(self):
+        # the README case. Each of its three runs gives every target what the item-level
+        # greedy gives it; half the l1 distance of the pushforward, summed in exact
+        # rational arithmetic (the float run masses and targets taken as Fractions),
+        # is this value
+        rep = run_entropy_protocol(Distribution((0.7, 0.3)), Distribution((0.3, 0.7)), 10, ancilla_bits=10)
+        assert rep.map_distance == pytest.approx(7.971938775508433e-05, rel=1e-12, abs=0.0)
 
     def test_entropy_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -133,6 +133,27 @@ class TestInverseProblems:
                 branch = "positive" if beta > 0 else "negative"
                 assert beta_from_entropy(h, tp.entropy, branch) == pytest.approx(beta, abs=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
+    def test_scale_free(self, c):
+        # E -> c*E maps beta -> beta/c, so c*beta(cE) = beta(E) in any energy unit: to
+        # 1e-12 relative, plus what a few ulp of the target move beta by, over the slope
+        # |dE/dbeta| = Var or |dS/dbeta| = |beta|*Var
+        ulps = 4.0 * np.finfo(float).eps
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            h = random_hamiltonian(rng, 2, 6, degenerate=True)
+            hc = HamiltonianSpec(tuple((c * e, g) for e, g in h.levels))
+            for beta in BETAS:
+                tp = thermal_point(h, beta)
+                var = energy_variance(h, beta)
+                want = beta_from_energy(h, tp.energy)
+                tol = 1e-12 * abs(want) + ulps * max(abs(h.e_min), abs(h.e_max)) / var
+                assert abs(c * beta_from_energy(hc, c * tp.energy) - want) <= tol
+                branch = "positive" if beta > 0 else "negative"
+                want = beta_from_entropy(h, tp.entropy, branch)
+                tol = 1e-12 * abs(want) + ulps * h.log_dim / (abs(beta) * var)
+                assert abs(c * beta_from_entropy(hc, tp.entropy, branch) - want) <= tol
+
 
 class TestEnergyVariance:
     def test_qubit_values(self, qubit):
