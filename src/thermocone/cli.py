@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,7 +119,7 @@ def _level_set(value: str) -> sumsets.LevelSet:
     data = _load_json_arg(value)
     if not isinstance(data, list):
         raise ValidationError("bad-levels-json", "levels must be a JSON array")
-    return sumsets.LevelSet(tuple(Fraction(str(x)) if isinstance(x, str) else Fraction(x) for x in data))
+    return sumsets.LevelSet(data)
 
 
 _CURVE_COLUMNS = ("beta", "logZ", "E", "S")
@@ -195,25 +194,11 @@ def _cmd_protocol(args) -> dict:
 
 def _cmd_coarse(args) -> dict:
     result = protocol.build_coarse_graining(_distribution(args.p), _distribution(args.q))
-    return {
-        "distance": result.distance,
-        "l1_bound": result.l1_bound,
-        "fibre_size_bound": result.fibre_size_bound,
-        "max_fiber": max(result.fiber_sizes),
-        "fiber_sizes": list(result.fiber_sizes),
-        "assignment": list(result.assignment),
-        "pushforward": list(result.pushforward),
-    }
+    return {**_record(result), "max_fiber": max(result.fiber_sizes)}
 
 
 def _cmd_sumset(args) -> dict:
-    k, ratio, report = sumsets.find_doubling_k(_level_set(args.levels), args.delta, args.k_max)
-    return {
-        "k": k,
-        "ratio": ratio,
-        "sizes": list(report.sizes),
-        "growth_exponent": report.growth_exponent,
-    }
+    return _record(sumsets.find_doubling_k(_level_set(args.levels), args.delta, args.k_max)[2])
 
 
 def _cmd_dilate(args) -> dict:

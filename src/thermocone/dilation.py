@@ -82,9 +82,9 @@ def _is_energy_incoherent(a: np.ndarray, level_of: np.ndarray) -> bool:
 def _apply_case(
     u: np.ndarray,
     state: np.ndarray,
-    levels: np.ndarray,
+    energies: np.ndarray,
     anc: LevelSet,
-    m_values: set,
+    m_levels: LevelSet,
     case: str,
 ) -> tuple[np.ndarray, float, float]:
     """Run one single-case step.
@@ -94,36 +94,37 @@ def _apply_case(
     """
     d = u.shape[0]
     a_dim = len(anc)
-    anc_index = {v: i for i, v in enumerate(anc.values)}
+    # system levels, ancilla and M as integers over one shared denominator
+    den = math.lcm(anc.den, m_levels.den, *(Fraction(e).denominator for e in energies))
+    levels = [int(Fraction(e) * den) for e in energies]
+    anc_values = [n * (den // anc.den) for n in anc.nums]
+    m_values = {n * (den // m_levels.den) for n in m_levels.nums}
+    anc_index = {v: i for i, v in enumerate(anc_values)}
     joint = d * a_dim
     vt = np.zeros((joint, joint), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            if u[i, j] == 0.0:
+    target = case == "incoherent-target"
+    for j, row in enumerate(u.T.tolist()):
+        for i, uij in enumerate(row):
+            if uij == 0.0:
                 continue
-            for a_in, val_in in enumerate(anc.values):
-                if case == "incoherent-target":
-                    hh = val_in + levels[j]
-                    val_out = hh - levels[i]
-                else:
-                    hh = val_in - levels[i]
-                    val_out = hh + levels[j]
-                if hh not in m_values:
-                    continue
-                vt[i * a_dim + anc_index[val_out], j * a_dim + a_in] = u[i, j]
+            for a_in, val_in in enumerate(anc_values):
+                hh = val_in + levels[j] if target else val_in - levels[i]
+                if hh in m_values:
+                    val_out = hh - levels[i] if target else hh + levels[j]
+                    vt[i * a_dim + anc_index[val_out], j * a_dim + a_in] = uij
 
     # exact total-energy bookkeeping, then residual and blockwise completion
-    total = [levels[i] + anc.values[a] for i in range(d) for a in range(a_dim)]
     codes: dict = {}
-    code_arr = np.array([codes.setdefault(t, len(codes)) for t in total])
+    code_arr = np.array([codes.setdefault(e + v, len(codes)) for e in levels for v in anc_values])
     residual = float(np.abs(vt[np.not_equal.outer(code_arr, code_arr)]).max(initial=0.0))
 
     ut = np.zeros_like(vt)
-    for code in range(len(codes)):
-        idx = np.flatnonzero(code_arr == code)
-        block = vt[np.ix_(idx, idx)]
-        ub, _s, vhb = np.linalg.svd(block)
-        ut[np.ix_(idx, idx)] = ub @ vhb
+    blocks = [np.flatnonzero(code_arr == code) for code in range(len(codes))]
+    for size in {len(b) for b in blocks}:
+        idx = np.array([b for b in blocks if len(b) == size])
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        ub, _s, vhb = np.linalg.svd(vt[rows, cols])
+        ut[rows, cols] = ub @ vhb
 
     psi = np.full(a_dim, 1.0 / math.sqrt(a_dim))
     omega = np.kron(state, np.outer(psi, psi))
@@ -187,24 +188,20 @@ def build_energy_preserving_dilation(
                 "dimension-cap", f"joint dimension {d * len(anc)} exceeds {MAX_JOINT_DIMENSION}"
             )
 
-    levels = np.array([Fraction(e) for e in h.expanded_energies()], dtype=object)
-    m_values = set(m_levels.values)
-    sigma_flat = _is_energy_incoherent(sigma_m, levels)
-    rho_flat = _is_energy_incoherent(rho_m, levels)
-
-    if sigma_flat:
-        out, residual, passed = _apply_case(u, rho_m, levels, m_minus, m_values, "incoherent-target")
+    levels = h.expanded_energies()
+    if _is_energy_incoherent(sigma_m, levels):
+        out, residual, passed = _apply_case(u, rho_m, levels, m_minus, m_levels, "incoherent-target")
         case, factors = "incoherent-target", (passed,)
         dims = d * len(m_minus)
-    elif rho_flat:
-        out, residual, passed = _apply_case(u, rho_m, levels, m_plus, m_values, "incoherent-source")
+    elif _is_energy_incoherent(rho_m, levels):
+        out, residual, passed = _apply_case(u, rho_m, levels, m_plus, m_levels, "incoherent-source")
         case, factors = "incoherent-source", (passed,)
         dims = d * len(m_plus)
     else:
         # route through an energy-diagonal intermediate with rho's spectrum
         w, v = np.linalg.eigh(rho_m)
-        mid, res1, f1 = _apply_case(v.conj().T, rho_m, levels, m_minus, m_values, "incoherent-target")
-        out, res2, f2 = _apply_case(u @ v, mid, levels, m_plus, m_values, "incoherent-source")
+        mid, res1, f1 = _apply_case(v.conj().T, rho_m, levels, m_minus, m_levels, "incoherent-target")
+        out, res2, f2 = _apply_case(u @ v, mid, levels, m_plus, m_levels, "incoherent-source")
         residual = max(res1, res2)
         case, factors = "composed", (f1, f2)
         dims = d * max(len(m_minus), len(m_plus))

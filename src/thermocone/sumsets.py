@@ -1,5 +1,6 @@
-"""Exact-rational energy-level sets and their Minkowski sumset
-arithmetic.
+"""Energy-level sets of exact rationals held as integer numerators over
+one shared denominator, and their Minkowski sumset arithmetic on those
+integers.
 
 Sumset growth controls how large an energy-absorbing ancilla must be:
 an ancilla carrying the k-fold sumset of the level set can absorb any
@@ -10,10 +11,13 @@ polynomial in k, so a suitable k always exists.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,49 +33,74 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelSet:
-    """A finite set of exact rational energies, deduplicated and sorted."""
+    """A finite set of exact rational energies, deduplicated and sorted.
 
-    values: tuple[Fraction, ...]
+    Held as sorted distinct integers ``nums`` over one shared denominator
+    ``den`` in lowest terms, so equal sets compare and hash equal.
+    """
 
-    def __post_init__(self):
-        vals = tuple(sorted(set(Fraction(v) for v in self.values)))
-        if not vals:
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, values: Iterable):
+        try:
+            fracs = [Fraction(v) for v in values]
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ValidationError("bad-level", f"levels must be finite rationals: {exc!r}") from exc
+        if not fracs:
             raise ValidationError("empty-level-set", "need at least one level")
-        object.__setattr__(self, "values", vals)
+        den = math.lcm(*(f.denominator for f in fracs))
+        self._assign({f.numerator * (den // f.denominator) for f in fracs}, den)
+
+    def _assign(self, nums: set[int], den: int) -> "LevelSet":
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(sorted(n // g for n in nums)))
+        object.__setattr__(self, "den", den // g)
+        return self
 
     @classmethod
     def from_energies(cls, energies: Iterable) -> "LevelSet":
         """Build from numbers; floats convert to their exact binary value."""
-        return cls(tuple(Fraction(e) for e in energies))
+        return cls(energies)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def __contains__(self, value) -> bool:
-        return Fraction(value) in set(self.values)
+        n, d = (Fraction(value) * self.den).as_integer_ratio()
+        i = bisect.bisect_left(self.nums, n)
+        return d == 1 and self.nums[i : i + 1] == (n,)
 
     def magnitude(self) -> Fraction:
         """max |value|; the operator-norm analogue for a diagonal set."""
-        return max(abs(v) for v in self.values)
-
-    def negated(self) -> "LevelSet":
-        return LevelSet(tuple(-v for v in self.values))
+        return Fraction(max(-self.nums[0], self.nums[-1]), self.den)
 
     def symmetrized(self) -> "LevelSet":
         """values, their negatives, and zero."""
-        return LevelSet(self.values + tuple(-v for v in self.values) + (Fraction(0),))
+        return object.__new__(LevelSet)._assign({0, *self.nums, *(-n for n in self.nums)}, self.den)
+
+
+def _combine(op, a: LevelSet, b: LevelSet) -> LevelSet:
+    """{op(x, y) : x in a, y in b}, over the denominator lcm(a.den, b.den)."""
+    den = math.lcm(a.den, b.den)
+    xs, ys = ([n * (den // l.den) for n in l.nums] for l in (a, b))
+    return object.__new__(LevelSet)._assign(set(itertools.starmap(op, itertools.product(xs, ys))), den)
 
 
 def minkowski_sum(a: LevelSet, b: LevelSet) -> LevelSet:
     """{x + y}; at most |a|*|b| values after deduplication."""
-    return LevelSet(tuple(x + y for x in a.values for y in b.values))
+    return _combine(operator.add, a, b)
 
 
 def minkowski_diff(a: LevelSet, b: LevelSet) -> LevelSet:
     """{x - y}."""
-    return LevelSet(tuple(x - y for x in a.values for y in b.values))
+    return _combine(operator.sub, a, b)
 
 
 def k_fold(l: LevelSet, k: int) -> LevelSet:
@@ -108,7 +137,6 @@ def find_doubling_k(l: LevelSet, delta: float, k_max: int) -> tuple[int, float, 
     if k_max < 1:
         raise ValidationError("bad-k", "k_max must be >= 1")
     sizes: list[int] = []
-    found: tuple[int, float] | None = None
     current = l
     for k in range(1, k_max + 1):
         sizes.append(len(current))
@@ -116,24 +144,14 @@ def find_doubling_k(l: LevelSet, delta: float, k_max: int) -> tuple[int, float, 
         minus = minkowski_diff(current, l)
         ratio = max(len(plus), len(minus)) / len(current)
         if ratio <= 1.0 + delta:
-            found = (k, ratio)
             break
         current = plus
+    else:
+        condition = f"(1+{delta}) growth condition; sizes = {sizes}"
+        raise DomainError("no-doubling-k", f"no k <= {k_max} satisfies the {condition}")
 
-    ks = np.arange(1, len(sizes) + 1, dtype=float)
     if len(sizes) >= 2 and sizes[-1] > sizes[0]:
-        exponent = float(np.polyfit(np.log(ks), np.log(np.asarray(sizes, dtype=float)), 1)[0])
+        exponent = float(np.polyfit(np.log(np.arange(1.0, len(sizes) + 1)), np.log(sizes), 1)[0])
     else:
         exponent = 0.0
-    report = SumsetGrowthReport(
-        sizes=tuple(sizes),
-        growth_exponent=exponent,
-        k=found[0] if found else 0,
-        ratio=found[1] if found else math.inf,
-    )
-    if found is None:
-        raise DomainError(
-            "no-doubling-k",
-            f"no k <= {k_max} satisfies the (1+{delta}) growth condition; sizes = {sizes}",
-        )
-    return found[0], found[1], report
+    return k, ratio, SumsetGrowthReport(tuple(sizes), exponent, k, ratio)

@@ -455,6 +455,36 @@ class TestErrorMapping:
         assert json.loads(err)["error"] == error
         assert not [str(w.message) for w in recwarn]
 
+    @pytest.mark.parametrize(
+        "levels",
+        ["[NaN]", "[Infinity]", '["1/0"]', '["abc"]', "[[1]]"],
+        ids=["nan", "inf", "zero-denominator", "text", "nested"],
+    )
+    def test_bad_level_exits_2(self, capsys, levels):
+        code, out, err = run_cli(capsys, "sumset", "--levels", levels, "--delta", "0.5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-level"
+
+    def test_bad_ancilla_level_exits_2(self, capsys, qubit_file):
+        code, out, err = run_cli(
+            capsys,
+            "dilate",
+            "--hamiltonian",
+            qubit_file,
+            "--unitary",
+            "[[[1,0],[0,0]],[[0,0],[1,0]]]",
+            "--rho",
+            '{"matrix":[[[1,0],[0,0]],[[0,0],[0,0]]]}',
+            "--sigma",
+            '{"matrix":[[[1,0],[0,0]],[[0,0],[0,0]]]}',
+            "--m-levels",
+            '[0, "1/0"]',
+            "--delta",
+            "0.5",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-level"
+
     def test_non_numeric_distribution_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "coarse", "--p", '[0.5,"half"]', "--q", "[0.5,0.5]")
         assert code == 2

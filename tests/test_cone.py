@@ -296,18 +296,18 @@ class TestBoundarySolve:
     def test_entropy_facet_exit(self, qubit):
         # the entropy reaches 0 at r = 0.2/0.3 while the energy per copy stays 1/2
         res = r_max(qubit, ConePoint(0.5, 0.2, 1.0), ConePoint(0.25, 0.3, 0.5))
-        assert res.rate_bisect == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert res.rate_bisect == pytest.approx(2.0 / 3.0, rel=1e-14, abs=0.0)
 
     def test_ground_edge_exit(self):
         # at r = 0.6 the point is (E_min, 0.35) per copy, inside as log 2 > 0.35
         h = HamiltonianSpec(((0.0, 2), (1.0, 1)))
         res = r_max(h, ConePoint(0.3, 0.2, 1.0), ConePoint(0.5, 0.1, 1.0))
-        assert res.rate_bisect == pytest.approx(0.6, rel=1e-14)
+        assert res.rate_bisect == pytest.approx(0.6, rel=1e-14, abs=0.0)
 
     def test_top_edge_exit(self):
         h = HamiltonianSpec(((0.0, 1), (1.0, 2)))
         res = r_max(h, ConePoint(0.7, 0.2, 1.0), ConePoint(0.5, 0.1, 1.0))
-        assert res.rate_bisect == pytest.approx(0.6, rel=1e-14)
+        assert res.rate_bisect == pytest.approx(0.6, rel=1e-14, abs=0.0)
 
     def test_source_on_boundary_gives_zero(self):
         h = HamiltonianSpec(((-0.5, 2), (0.25, 1), (1.5, 3)))

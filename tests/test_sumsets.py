@@ -1,13 +1,34 @@
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermocone import DomainError, LevelSet, ValidationError, find_doubling_k, k_fold, minkowski_diff, minkowski_sum
 
 
 def fracs(*values):
     return LevelSet(tuple(Fraction(v) for v in values))
+
+
+def pairwise(op, xs, ys):
+    """Sorted distinct op(x, y) over exact Fractions: the reference the
+    integer kernel must reproduce."""
+    return tuple(sorted({op(x, y) for x in xs for y in ys}))
+
+
+# mixed denominators, negative values, and floats whose exact binary
+# value has a huge denominator (0.1 is n / 2**55, 1e-300 is n / 2**1049)
+LEVEL = st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.integers(-40, 40),
+    st.sampled_from([0.1, -0.1, 0.3, 2.5, 1e-300, -3e-300]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+LEVELS = st.lists(LEVEL, min_size=1, max_size=5)
 
 
 class TestLevelSet:
@@ -25,6 +46,44 @@ class TestLevelSet:
 
     def test_symmetrized(self):
         assert fracs(0, 1).symmetrized().values == (Fraction(-1), Fraction(0), Fraction(1))
+
+    def test_equality_and_hash_ignore_the_denominators_used(self):
+        a = LevelSet([Fraction(1, 2), 1])
+        b = LevelSet(["2/4", "3/3"])
+        assert a == b and hash(a) == hash(b)
+        # the same set reached over a larger common denominator
+        c = minkowski_diff(LevelSet([Fraction(5, 6), Fraction(4, 3)]), LevelSet([Fraction(1, 3)]))
+        assert c == a and hash(c) == hash(a)
+        assert (c.nums, c.den) == ((1, 2), 2)
+        assert a != LevelSet([Fraction(1, 2)]) and a != a.values
+
+    def test_membership_and_magnitude(self):
+        l = fracs(Fraction(-7, 3), 0, Fraction(1, 2))
+        assert Fraction(-7, 3) in l and 0.5 in l and "1/2" in l
+        assert Fraction(1, 3) not in l and 1 not in l and Fraction(7, 3) not in l
+        assert l.magnitude() == Fraction(7, 3)
+        assert fracs(-1, 2).magnitude() == 2
+
+
+class TestIntegerKernel:
+    """The integer-numerator kernel against a naive Fraction reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=LEVELS, b=LEVELS, k=st.integers(1, 3))
+    def test_matches_fraction_reference(self, a, b, k):
+        xs, ys = [Fraction(v) for v in a], [Fraction(v) for v in b]
+        la, lb = LevelSet(a), LevelSet(b)
+        assert la.values == tuple(sorted(set(xs)))
+        assert minkowski_sum(la, lb).values == pairwise(operator.add, xs, ys)
+        assert minkowski_diff(la, lb).values == pairwise(operator.sub, xs, ys)
+        want = set(xs)
+        for _ in range(k - 1):
+            want = set(pairwise(operator.add, want, xs))
+        assert k_fold(la, k).values == tuple(sorted(want))
+        assert la.symmetrized().values == tuple(sorted({Fraction(0), *xs, *(-x for x in xs)}))
+        for got in (la, minkowski_sum(la, lb), minkowski_diff(la, lb), la.symmetrized()):
+            assert math.gcd(got.den, *got.nums) == 1
+            assert got == LevelSet(got.values) and hash(got) == hash(LevelSet(got.values))
 
 
 class TestMinkowski:
@@ -74,12 +133,14 @@ class TestDoublingK:
     def test_one_sum_per_k(self, monkeypatch):
         from thermocone import sumsets
 
-        calls = []
-        plain = sumsets.minkowski_sum
-        monkeypatch.setattr(sumsets, "minkowski_sum", lambda a, b: calls.append(len(a)) or plain(a, b))
+        # the benchmark counts sumset work by wrapping these module globals
+        calls = {"minkowski_sum": [], "minkowski_diff": []}
+        for name, seen in calls.items():
+            plain = getattr(sumsets, name)
+            monkeypatch.setattr(sumsets, name, lambda a, b, seen=seen, plain=plain: seen.append(len(a)) or plain(a, b))
         k, _, report = find_doubling_k(fracs(0, 1), 0.01, 120)
         assert k == 99 and report.sizes == tuple(range(2, 101))
-        assert len(calls) == k
+        assert calls["minkowski_sum"] == calls["minkowski_diff"] == list(report.sizes)
 
     def test_sizes_nondecreasing(self):
         _, _, report = find_doubling_k(fracs(0, 1, Fraction(7, 3)), 0.2, 64)
