@@ -3,8 +3,10 @@
 One binary, subcommand style; all physical quantities are unit-agnostic
 (energies in user units, beta in inverse user units, entropy in nats
 except the protocol family, which reports bits). Inputs are JSON (inline
-or a file path), outputs are JSON or CSV with floats printed to 12
-significant digits, so repeat runs are byte-identical.
+or a file path), outputs are JSON or CSV. Each float is rounded to 12
+significant digits and printed as the shortest text that reads back as
+the rounded value (``repr`` of it); non-finite values print as ``+inf``,
+``-inf`` and ``nan`` (strings in JSON). Repeat runs are byte-identical.
 
 Exit codes: 0 success, 1 domain error, 2 validation error / bad usage.
 """
@@ -14,10 +16,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
-import math
 import sys
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,39 +31,92 @@ from .system import Macrostate, as_number, cone_point_of, hamiltonian_from_json,
 __all__ = ["main", "emit"]
 
 
-def _fmt(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "+inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{value:.12g}")
+_POSITIONAL_EXPONENTS = ("e+12", "e+13", "e+14", "e+15")
+_NON_FINITE = {"inf": "+inf", "-inf": "-inf", "nan": "nan"}
+_MIN_NORMAL = sys.float_info.min
+
+
+def _numbers(values: Sequence[float], quote) -> list[str]:
+    """Floats to 12 significant digits, each laid out as ``repr`` lays out
+    the rounded float; a non-finite value gives ``quote`` of ``+inf``,
+    ``-inf`` or ``nan``.
+    """
+    block = "%.12g\n" * len(values) % tuple(values)
+    texts = block.split("\n")
+    texts.pop()
+    if "e" in block or block.count(".") < len(texts):
+        for i, text in enumerate(texts):
+            if "e" in text:
+                # repr prints exponents 12 to 15 in place, and a subnormal
+                # needs fewer than 12 digits to round-trip
+                if text[-4:] in _POSITIONAL_EXPONENTS or abs(values[i]) < _MIN_NORMAL:
+                    texts[i] = repr(float(text))
+            elif "." not in text:
+                texts[i] = quote(_NON_FINITE[text]) if text in _NON_FINITE else text + ".0"
+    return texts
+
+
+def _json_values(values: Sequence, indent: str) -> list[str]:
+    """Each value in ``json.dumps(..., indent=2)`` layout, nested at ``indent``."""
+    if all(map(isinstance, values, itertools.repeat(float))):
+        return _numbers(values, json.dumps)
+    return [_json_value(v, indent) for v in values]
+
+
+def _json_value(value, indent: str) -> str:
     if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    return value
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + ",\n".join(inner + text for text in _json_values(value, inner)) + "\n" + indent + "]"
+    if isinstance(value, float):
+        return _numbers((value,), json.dumps)[0]
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):  # json.dumps takes its slow path for numbers
+        return int.__repr__(value)
+    return "null" if value is None else json.dumps(value)
 
 
-def emit(records: Sequence[dict], fmt: str, path: Optional[str], columns: Optional[Sequence[str]] = None) -> str:
-    """Serialize records to JSON (stable key order) or CSV (header row).
+def _csv_values(values: Sequence, quote=str) -> list[str]:
+    """Each value as ``str`` prints it, list items as ``repr`` does."""
+    if all(map(isinstance, values, itertools.repeat(float))):
+        return _numbers(values, quote)
+    return [_csv_value(v, quote) for v in values]
 
+
+def _csv_value(value, quote) -> str:
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_csv_values(value, repr)) + "]"
+    if isinstance(value, float):
+        return _numbers((value,), quote)[0]
+    return quote(value)
+
+
+def emit(table: Mapping[str, Sequence], fmt: str, path: Optional[str], columns: Optional[Sequence[str]] = None) -> str:
+    """Serialize a table, given as equal-length columns by key.
+
+    JSON: keys sorted, two-space indent; a one-row table prints as one
+    object, any other as an array of objects. CSV: a header row of
+    ``columns`` (sorted keys by default), then one line per row. Each
+    float is printed once, to 12 significant digits (see ``_numbers``).
     Returns the text; writes it to ``path`` when given, stdout otherwise.
     """
-    records = [_fmt(dict(r)) for r in records]
-    if fmt == "json":
-        payload = records[0] if len(records) == 1 else records
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        cols = list(columns) if columns else sorted(records[0]) if records else []
-        lines = [",".join(cols)]
-        for rec in records:
-            lines.append(",".join(str(rec[c]) for c in cols))
-        text = "\n".join(lines) + "\n"
-    else:
+    if fmt not in ("json", "csv"):
         raise ValidationError("bad-format", f"unknown output format {fmt!r}")
+    rows = len(next(iter(table.values()), ()))
+    keys = list(columns) if fmt == "csv" and columns else sorted(table)
+    # every cell in row order; the rows then fill one %s template
+    cells = list(itertools.chain.from_iterable(zip(*(table[k] for k in keys))))
+    if fmt == "json":
+        indent = "" if rows == 1 else "  "
+        fields = ",\n".join(f"{indent}  {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+        body = ",\n".join([f"{indent}{{\n{fields}\n{indent}}}"] * rows) % tuple(_json_values(cells, indent + "  "))
+        text = body if rows == 1 else f"[\n{body}\n]" if rows else "[]"
+    else:
+        body = "\n".join([",".join(["%s"] * len(keys))] * rows) % tuple(_csv_values(cells))
+        text = ",".join(keys) + ("\n" + body if rows else "")
+    text += "\n"
     if path:
         try:
             with open(path, "w") as fh:
@@ -127,32 +182,37 @@ _CURVE_COLUMNS = ("beta", "logZ", "E", "S")
 _RENAMES = {"work": "W", "heat": "Q", "q_hot": "Q_hot", "q_cold": "Q_cold"}
 
 
-def _record(result) -> dict:
-    """A result dataclass as one output record."""
-    return {_RENAMES.get(k, k): v for k, v in dataclasses.asdict(result).items()}
+def _row(record: dict) -> dict[str, list]:
+    """One output record as a one-row table."""
+    return {k: [v] for k, v in record.items()}
 
 
-def _cmd_curve(args) -> list[dict]:
+def _record(result) -> dict[str, list]:
+    """A result dataclass as a one-row table."""
+    return _row({_RENAMES.get(k, k): v for k, v in dataclasses.asdict(result).items()})
+
+
+def _cmd_curve(args) -> dict[str, list]:
     h = _hamiltonian(args)
     if args.samples < 2:
         raise ValidationError("bad-samples", "need at least 2 samples")
     points = thermal.thermal_points(h, np.linspace(args.beta_min, args.beta_max, args.samples))
-    return [dict(zip(_CURVE_COLUMNS, row)) for row in zip(*(a.tolist() for a in points))]
+    return {key: column.tolist() for key, column in zip(_CURVE_COLUMNS, points)}
 
 
-def _cmd_member(args) -> dict:
+def _cmd_member(args) -> dict[str, list]:
     h = _hamiltonian(args)
     verdict = diagram.diagram_contains(h, _macro(args.macro), tol=args.tol)
-    return {"member": verdict.is_member, "verdict": verdict.value}
+    return _row({"member": verdict.is_member, "verdict": verdict.value})
 
 
-def _cmd_wmax(args) -> dict:
+def _cmd_wmax(args) -> dict[str, list]:
     h = _hamiltonian(args)
     state = state_from_json(_load_json_arg(args.rho))
-    return {"w_max": diagram.w_max(h, state)}
+    return _row({"w_max": diagram.w_max(h, state)})
 
 
-def _cmd_exchange(args) -> dict:
+def _cmd_exchange(args) -> dict[str, list]:
     h = _hamiltonian(args)
     spec = exchange.ExchangeSpec(
         hamiltonian=h,
@@ -164,44 +224,45 @@ def _cmd_exchange(args) -> dict:
     return _record(exchange.work_heat(spec))
 
 
-def _cmd_engine(args) -> dict:
+def _cmd_engine(args) -> dict[str, list]:
     h = _hamiltonian(args)
     res = exchange.engine_efficiencies(h, args.beta_cold, args.beta_less_cold, args.beta_less_hot, args.beta_hot)
     return _record(res)
 
 
-def _cmd_rate(args) -> dict:
+def _cmd_rate(args) -> dict[str, list]:
     h = _hamiltonian(args)
     y_rho = cone_point_of(state_from_json(_load_json_arg(args.rho)), h)
     y_sigma = cone_point_of(state_from_json(_load_json_arg(args.sigma)), h)
     return _record(cone.r_max(h, y_rho, y_sigma, tol=args.tol))
 
 
-def _cmd_decompose(args) -> dict:
+def _cmd_decompose(args) -> dict[str, list]:
     h = _hamiltonian(args)
     return _record(diagram.decompose(h, _macro(args.macro), args.beta))
 
 
-def _cmd_protocol(args) -> dict:
-    return protocol.run_entropy_protocol(
+def _cmd_protocol(args) -> dict[str, list]:
+    report = protocol.run_entropy_protocol(
         _distribution(args.p),
         _distribution(args.q),
         args.n,
         ancilla_bits=args.ancilla_bits,
         outcome_cap=args.cap,
-    ).to_json()
+    )
+    return _row(report.to_json())
 
 
-def _cmd_coarse(args) -> dict:
+def _cmd_coarse(args) -> dict[str, list]:
     result = protocol.build_coarse_graining(_distribution(args.p), _distribution(args.q))
-    return {**_record(result), "max_fiber": max(result.fiber_sizes)}
+    return {**_record(result), "max_fiber": [max(result.fiber_sizes)]}
 
 
-def _cmd_sumset(args) -> dict:
+def _cmd_sumset(args) -> dict[str, list]:
     return _record(sumsets.find_doubling_k(_level_set(args.levels), args.delta, args.k_max)[2])
 
 
-def _cmd_dilate(args) -> dict:
+def _cmd_dilate(args) -> dict[str, list]:
     h = _hamiltonian(args)
     report = build_energy_preserving_dilation(
         h,
@@ -292,8 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        result = args.func(args)
-        emit(result if isinstance(result, list) else [result], args.format, args.out, columns=args.columns)
+        emit(args.func(args), args.format, args.out, columns=args.columns)
     except ThermoconeError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
         return 2 if isinstance(exc, ValidationError) else 1

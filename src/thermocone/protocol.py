@@ -292,7 +292,11 @@ def typical_set(
     if not classes:
         raise DomainError("empty-typical-set", "no type vector satisfies all count windows")
 
-    p_typ = math.fsum(tc.multiplicity * tc.outcome_prob for tc in classes)
+    try:
+        p_typ = math.fsum(tc.multiplicity * tc.outcome_prob for tc in classes)
+    except OverflowError as exc:
+        # a multiplicity past the float range; the weights need log probabilities
+        raise DomainError("outcome-overflow", f"a type class at n = {n} has more outcomes than a float holds") from exc
     cond = [tc.outcome_prob / p_typ for tc in classes]
     outcome_count = sum(tc.multiplicity for tc in classes)
     h_1 = -math.fsum(

@@ -33,6 +33,22 @@ __all__ = [
 ]
 
 
+# admits the exact decimal value of every double, down to 2**-1074
+_MAX_DECIMAL_EXPONENT = 1100
+
+
+def _level(value) -> Fraction:
+    """``Fraction(value)``, refusing booleans and decimal exponents past
+    ``_MAX_DECIMAL_EXPONENT`` (``Fraction`` would build 10**exponent)."""
+    if isinstance(value, bool):
+        raise TypeError(f"a boolean is not a level: {value!r}")
+    if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        if e and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {value!r} exceeds {_MAX_DECIMAL_EXPONENT}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True, init=False)
 class LevelSet:
     """A finite set of exact rational energies, deduplicated and sorted.
@@ -46,7 +62,7 @@ class LevelSet:
 
     def __init__(self, values: Iterable):
         try:
-            fracs = [Fraction(v) for v in values]
+            fracs = [_level(v) for v in values]
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValidationError("bad-level", f"levels must be finite rationals: {exc!r}") from exc
         if not fracs:

@@ -38,8 +38,11 @@ __all__ = [
 
 
 def as_number(value, field: str) -> float:
-    """``float(value)``; a non-number (say, a decoded JSON string) raises ``ValidationError``."""
+    """``float(value)``; a non-number (say, a decoded JSON string or
+    boolean) raises ``ValidationError``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         return float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError("bad-number", f"{field} must be a number, got {value!r}") from exc

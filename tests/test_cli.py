@@ -1,15 +1,19 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
 from thermocone import beta_cap, cli, thermal_point, thermal_points
@@ -358,6 +362,80 @@ class TestGolden:
         return json.dumps(got, sort_keys=True), json.dumps(want, sort_keys=True)
 
 
+def _oracle_fmt(value):
+    """Each float through float(f"{v:.12g}"), as emit printed it before."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "+inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return float(f"{value:.12g}")
+    if isinstance(value, (list, tuple)):
+        return [_oracle_fmt(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _oracle_fmt(v) for k, v in value.items()}
+    return value
+
+
+def _oracle_emit(records, fmt, columns=None) -> str:
+    """The text emit wrote for a list of records before it laid out the
+    text itself: json.dumps(sort_keys=True, indent=2), or str() per CSV cell."""
+    records = [_oracle_fmt(dict(r)) for r in records]
+    if fmt == "json":
+        return json.dumps(records[0] if len(records) == 1 else records, sort_keys=True, indent=2) + "\n"
+    cols = list(columns) if columns else sorted(records[0]) if records else []
+    return "\n".join([",".join(cols), *(",".join(str(rec[c]) for c in cols) for rec in records)]) + "\n"
+
+
+def _table(records, columns=None) -> dict:
+    """The records as emit's columns; with no records only ``columns`` are known."""
+    return {k: [r[k] for r in records] for k in (records[0] if records else columns or ())}
+
+
+EDGE_FLOATS = [1e11, 1e12, 1.5e12, 123456789012345.0, 1e15, 1e16, 1e-4, 1e-5, 5e-324,
+               0.0, math.inf, math.nan, 2.2250738585072014e-308, 1.7976931348623157e308, 999999999999.5]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+SCALARS = FLOATS | FLOATS.map(np.float64) | st.integers() | st.booleans() | st.none() | st.text(max_size=6)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+                      max_leaves=10)
+
+
+@st.composite
+def record_lists(draw, values, max_records):
+    keys = draw(st.lists(st.text(max_size=5), min_size=1, max_size=5, unique=True))
+    count = draw(st.sampled_from([0, 1, max_records]) | st.integers(0, max_records))
+    records = [{k: draw(values) for k in keys} for _ in range(count)]
+    columns = draw(st.none() | st.permutations(keys))
+    return records, columns
+
+
+class TestEmit:
+    """emit against the float-round-trip and json.dumps encoder it replaced."""
+
+    @staticmethod
+    def check(records, fmt, columns=None):
+        text = cli.emit(_table(records, columns), fmt, os.devnull, columns=columns)
+        assert text == _oracle_emit(records, fmt, columns)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", EDGE_FLOATS + [-x for x in EDGE_FLOATS], ids=repr)
+    def test_edge_floats(self, fmt, value):
+        for records in ([{"x": value}], [{"x": value, "y": [value, "s"]}] * 2):
+            self.check(records, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_lists(VALUES, 6), st.sampled_from(["json", "csv"]))
+    def test_matches_oracle(self, case, fmt):
+        self.check(case[0], fmt, case[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_lists(FLOATS, 40), st.sampled_from(["json", "csv"]))
+    def test_float_columns_match_oracle(self, case, fmt):
+        self.check(case[0], fmt, case[1])
+
+
 class TestParser:
     def test_built_once_per_process(self, capsys, monkeypatch):
         built = []
@@ -484,6 +562,33 @@ class TestErrorMapping:
         )
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "bad-level"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["sumset", "--levels", "[true, false]", "--delta", "0.5"], "bad-level"),
+            (["coarse", "--p", "[true, false]", "--q", "[0.5,0.5]"], "bad-number"),
+            (["member", "--hamiltonian", '{"levels":[{"energy":0,"degeneracy":true},{"energy":1,"degeneracy":1}]}',
+              "--macro", '{"E":0.5,"S":0.1}'], "bad-number"),
+        ],
+        ids=["levels", "distribution", "degeneracy"],
+    )
+    def test_boolean_as_number_exits_2(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == error
+
+    def test_huge_decimal_exponent_exits_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sumset", "--levels", '["1e-2000000"]', "--delta", "0.5")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-level"
+
+    def test_protocol_outcome_overflow_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "1200")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "outcome-overflow"
 
     def test_non_numeric_distribution_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "coarse", "--p", '[0.5,"half"]', "--q", "[0.5,0.5]")

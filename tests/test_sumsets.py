@@ -44,6 +44,15 @@ class TestLevelSet:
         with pytest.raises(ValidationError):
             LevelSet(())
 
+    def test_decimal_exponent_bound(self):
+        # the smallest subnormal's exact value, written with an integer mantissa
+        assert LevelSet([f"{5**1074}e-1074"]).values == (Fraction(5e-324),)
+        assert LevelSet(["-1E+1100"]).values == (Fraction(-(10**1100)),)
+        for text in ("1e-1101", "1e+1101", "1e" + "9" * 5000):
+            with pytest.raises(ValidationError) as err:
+                LevelSet([text])
+            assert err.value.code == "bad-level"
+
     def test_symmetrized(self):
         assert fracs(0, 1).symmetrized().values == (Fraction(-1), Fraction(0), Fraction(1))
 
