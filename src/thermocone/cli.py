@@ -297,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("member", _cmd_member, "energy-entropy diagram membership")
     p.add_argument("--macro", required=True, help='macrostate JSON {"E":..,"S":..}')
-    p.add_argument("--tol", type=float, default=diagram.DEFAULT_BOUNDARY_TOL)
+    p.add_argument("--tol", type=float, default=diagram.DEFAULT_BOUNDARY_TOL,
+                   help="boundary tolerance: a fraction of the span E_max - E_min on energy, nats on entropy")
 
     p = command("wmax", _cmd_wmax, "maximal extractable work per copy")
     p.add_argument("--rho", required=True, help="state JSON")
@@ -318,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative stopping width of the boundary Newton solve (rate_bisect)")
+                   help="relative stopping width of the boundary Newton solve (rate_bisect); rates are unit-free")
 
     p = command("decompose", _cmd_decompose, "split a macrostate over {thermal, ground, top}")
     p.add_argument("--macro", required=True)

@@ -40,11 +40,13 @@ from .diagram import (
 from .errors import DomainError
 from .numerics import Bracket, minimize_scalar, solve_root_bracketed
 from .system import ConePoint, HamiltonianSpec, Macrostate
-from .thermal import beta_cap, beta_from_energy, energy_variance, log_partition, thermal_point
+from .thermal import _T_CAP, _moments, beta_from_energy, log_partition, thermal_point
 
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
-_TANH_GRID_SIZE = 2048
+# t = beta*span samples over (-inf, inf): a tanh-uniform core, log-spaced tails to the cap
+_TAIL = np.geomspace(6.0, _T_CAP, 256)
+_T_GRID = np.sort(np.concatenate([2.0 * np.arctanh(np.linspace(-1.0, 1.0, 2050)[1:-1]), [0.0], _TAIL, -_TAIL]))
 
 
 @dataclass(frozen=True)
@@ -67,14 +69,15 @@ def cone_contains(h: HamiltonianSpec, y: ConePoint, tol: float = DEFAULT_BOUNDAR
     """Membership verdict for an extensive point.
 
     Points with size within ``tol`` of zero are members only if they are
-    the apex; otherwise the point is normalized and tested against the
-    diagram.
+    the apex, to within ``tol`` in entropy and ``tol`` of the span in
+    energy above the ground line; otherwise the point is normalized and
+    tested against the diagram.
     """
     check_tolerance(tol)
     if y.size < -tol:
         return Verdict.OUTSIDE
     if abs(y.size) <= tol:
-        if abs(y.entropy) <= tol and abs(y.energy) <= tol:
+        if abs(y.entropy) <= tol and abs(edge_monotones(h, y)[0]) <= h.energy_tol(tol):
             return Verdict.INSIDE
         return Verdict.OUTSIDE
     return diagram_contains(h, Macrostate(y.energy / y.size, y.entropy / y.size), tol)
@@ -91,19 +94,6 @@ def dominates(
 ) -> bool:
     """Asymptotic ordering: the difference of the points is a cone member."""
     return cone_contains(h, y_rho - y_sigma, tol).is_member
-
-
-def _athermality_grid(h: HamiltonianSpec) -> np.ndarray:
-    """Beta samples covering (-inf, inf): a tanh-uniform core grid plus
-    log-spaced tails out to the evaluation cap."""
-    span = h.e_max - h.e_min
-    if span <= 0:
-        return np.array([0.0])
-    t = np.linspace(-1.0, 1.0, _TANH_GRID_SIZE + 2)[1:-1]
-    core = np.arctanh(t) * (2.0 / span)
-    cap = beta_cap(h)
-    tail = np.geomspace(6.0 / span, cap, _TANH_GRID_SIZE // 8)
-    return np.unique(np.concatenate([core, [0.0], tail, -tail]))
 
 
 def _slack(y: ConePoint, beta, log_z):
@@ -137,16 +127,17 @@ def r_max(
     solve stops (``rate_bisect``)."""
     check_tolerance(tol, positive=True)
     scale = max(1.0, abs(y_rho.size), abs(y_sigma.size))
-    if max(abs(y_sigma.energy), abs(y_sigma.entropy), abs(y_sigma.size)) <= 1e-15 * scale:
+    g_rho, t_rho = edge_monotones(h, y_rho)
+    g_sigma, t_sigma = edge_monotones(h, y_sigma)
+    zero = 1e-15 * scale
+    if max(abs(y_sigma.entropy), abs(y_sigma.size)) <= zero and abs(g_sigma) <= h.energy_tol(zero):
         raise DomainError("zero-target", "target point is zero; the rate is unbounded")
     for name, y in (("source", y_rho), ("target", y_sigma)):
         if not cone_contains(h, y).is_member:
             raise DomainError("not-a-member", f"{name} point {y} is not a cone member")
 
     floor = 1e-12 * scale
-    edge_floor = floor * (1.0 + h.e_max - h.e_min)
-    g_rho, t_rho = edge_monotones(h, y_rho)
-    g_sigma, t_sigma = edge_monotones(h, y_sigma)
+    edge_floor = h.energy_tol(floor)
     # the ray y(r) = y_rho - r*y_sigma first crosses a linear facet (size,
     # entropy, ground or top edge) at r_hi; it crosses none only when the
     # target is zero to within the floor
@@ -167,7 +158,7 @@ def r_max(
     if t_sigma > edge_floor:
         candidates.append((max(0.0, t_rho) / t_sigma, -math.inf))
 
-    betas = _athermality_grid(h)
+    betas = _T_GRID / h.span if h.span > 0 else np.zeros(1)
     log_z = log_partition(h, betas)
     num = _slack(y_rho, betas, log_z)
     den = _slack(y_sigma, betas, log_z)
@@ -176,25 +167,24 @@ def r_max(
         ratios = np.where(ok, np.maximum(num, 0.0) / np.where(ok, den, 1.0), np.inf)
         i = int(np.argmin(ratios))
 
-        def ratio_at(beta: float) -> tuple[float, float, float]:
-            # R = N/D, with N' = y_E - size*E and N'' = size*Var (likewise D)
-            tp, var = thermal_point(h, beta), energy_variance(h, beta)
-            n, d = _slack(y_rho, beta, tp.log_z), _slack(y_sigma, beta, tp.log_z)
+        def ratio_at(t: float) -> tuple[float, float, float]:
+            # R = N/D in t = beta*unit, with N' = (y_E - size*E)/unit and
+            # N'' = size*Var/unit^2 (likewise D)
+            tp, var = thermal_point(h, t / h.unit), _moments(h, t)[2]
+            n, d = _slack(y_rho, tp.beta, tp.log_z), _slack(y_sigma, tp.beta, tp.log_z)
             if d <= floor:
                 return math.inf, math.nan, math.nan
             if n <= 0.0:
                 return 0.0, 0.0, 0.0
-            dn, dd = y_rho.energy - y_rho.size * tp.energy, y_sigma.energy - y_sigma.size * tp.energy
+            dn, dd = ((y.energy - y.size * tp.energy) / h.unit for y in (y_rho, y_sigma))
             r, dr = n / d, (dn * d - n * dd) / (d * d)
             return r, dr, (var * (y_rho.size - r * y_sigma.size) - 2.0 * dr * dd) / d
 
-        lo = betas[max(0, i - 1)]
-        hi = betas[min(betas.size - 1, i + 1)]
+        lo, mid, hi = betas[[max(0, i - 1), i, min(betas.size - 1, i + 1)]] * h.unit
         if lo < hi:
-            cell = [lo, betas[i], hi] if lo < betas[i] < hi else [lo, 0.5 * (lo + hi), hi]
-            b_best, r_best = minimize_scalar(
-                ratio_at, cell, refine_tol=1e-11 * max(1.0, abs(lo), abs(hi))
-            )
+            cell = [lo, mid, hi] if lo < mid < hi else [lo, 0.5 * (lo + hi), hi]
+            t_best, r_best = minimize_scalar(ratio_at, cell, refine_tol=1e-11 * max(1.0, abs(lo), abs(hi)))
+            b_best = t_best / h.unit
         else:
             b_best, r_best = float(betas[i]), float(ratios[i])
         if math.isfinite(r_best):

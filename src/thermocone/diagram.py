@@ -62,7 +62,7 @@ def athermality(h: HamiltonianSpec, x: Macrostate, beta: float) -> float:
         raise ValidationError("bad-beta", "beta must be finite")
     # the scalar kernel at any finite beta: thermal_point's plateau rule
     # would drop the weights of levels close to the extreme one
-    ref, g_ref, rest, _, _ = _shifted_weights(h, beta)
+    ref, g_ref, rest, _, _ = _shifted_weights(h, beta * h.unit)
     return beta * x.energy - x.entropy + (math.log(g_ref + rest) - beta * ref)
 
 
@@ -74,8 +74,6 @@ def max_entropy_at_energy(h: HamiltonianSpec, energy: float) -> float:
         return math.log(h.g_ground)
     if energy == h.e_max:
         return math.log(h.g_top)
-    if h.e_max == h.e_min:
-        return h.log_dim
     return thermal_point(h, beta_from_energy(h, energy)).entropy
 
 
@@ -85,11 +83,14 @@ def diagram_contains(
     """Three-way membership verdict from the boundary test
     E_min <= x_E <= E_max and 0 <= x_S <= S_max(x_E).
 
-    Points within ``tol`` (absolute, per coordinate) of any bound are
-    reported as BOUNDARY; both INSIDE and BOUNDARY count as members.
+    Points within ``tol`` of any bound are reported as BOUNDARY; both
+    INSIDE and BOUNDARY count as members. On energy ``tol`` is relative to
+    the span E_max - E_min (absolute for a single level), on entropy it
+    is in nats.
     """
     check_tolerance(tol)
-    if x.energy < h.e_min - tol or x.energy > h.e_max + tol:
+    e_tol = h.energy_tol(tol)
+    if x.energy < h.e_min - e_tol or x.energy > h.e_max + e_tol:
         return Verdict.OUTSIDE
     if x.entropy < -tol:
         return Verdict.OUTSIDE
@@ -98,8 +99,8 @@ def diagram_contains(
     if x.entropy > s_max + tol:
         return Verdict.OUTSIDE
     on_edge = (
-        x.energy <= h.e_min + tol
-        or x.energy >= h.e_max - tol
+        x.energy <= h.e_min + e_tol
+        or x.energy >= h.e_max - e_tol
         or x.entropy <= tol
         or x.entropy >= s_max - tol
     )
@@ -183,8 +184,7 @@ def decompose(h: HamiltonianSpec, x: Macrostate, beta: float) -> DecompositionWe
     not in the feasible wedge for that beta and raises a domain error
     naming the violated weight.
     """
-    if h.e_max == h.e_min:
-        raise DomainError("degenerate-hamiltonian", "decomposition needs E_max > E_min")
+    h.require_span()
     tp = thermal_point(h, beta)
     if tp.entropy <= 0.0 and x.entropy > 0.0:
         raise DomainError("infeasible-beta", f"thermal entropy at beta={beta} is zero; cannot carry x_S")
@@ -194,7 +194,7 @@ def decompose(h: HamiltonianSpec, x: Macrostate, beta: float) -> DecompositionWe
             "infeasible-decomposition",
             f"c_beta = {c_beta:.6g} > 1: thermal entropy at beta={beta} is below x_S",
         )
-    c_max = (x.energy - c_beta * tp.energy - (1.0 - c_beta) * h.e_min) / (h.e_max - h.e_min)
+    c_max = (x.energy - c_beta * tp.energy - (1.0 - c_beta) * h.e_min) / h.span
     c_min = 1.0 - c_beta - c_max
     for name, value in (("c_min", c_min), ("c_max", c_max)):
         if value < -1e-12:
@@ -220,6 +220,7 @@ def w_max(h: HamiltonianSpec, state: QuantumState) -> float:
     else:
         floor = thermal_point(h, beta_from_entropy(h, x.entropy, branch="positive")).energy
     work = x.energy - floor
-    if work < -1e-10:
+    # 1e-10 of the span, plus the rounding of energies far from the origin
+    if work < -(h.energy_tol(1e-10) + 2 * math.ulp(max(abs(h.e_min), abs(h.e_max)))):
         raise DomainError("negative-work", f"state energy {x.energy} below its entropy floor {floor}")
     return max(0.0, work)

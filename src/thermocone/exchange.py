@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .system import HamiltonianSpec, Macrostate, QuantumState, macrostate_of
-from .thermal import energy_variance, thermal_point
+from .thermal import _curve_step, energy_variance, thermal_point
 
 __all__ = [
     "ExchangeSpec",
@@ -39,9 +39,6 @@ __all__ = [
     "reservoir_size_for_epsilon",
     "engine_efficiencies",
 ]
-
-_NEAR_EQUAL_BETA = 1e-6
-
 
 @dataclass(frozen=True)
 class ExchangeSpec:
@@ -92,36 +89,28 @@ class EnginePerformance:
 def beta_eff(h: HamiltonianSpec, beta1: float, beta2: float) -> float:
     """Chord slope of the thermal curve between beta1 and beta2.
 
-    Symmetric in its arguments and strictly between them; for nearly
-    coincident betas the 0/0 quotient is replaced by the tangent slope at
-    the midpoint (the slope of the curve at beta is beta itself).
+    Symmetric in its arguments and strictly between them; for betas
+    within 1e-6 of each other in t = beta*span the 0/0 quotient is
+    replaced by the tangent slope at the midpoint (the slope of the curve
+    at beta is beta itself).
     """
     if not (math.isfinite(beta1) and math.isfinite(beta2)):
         raise ValidationError("bad-beta", "reservoir betas must be finite")
-    if h.e_max == h.e_min:
-        raise DomainError("degenerate-hamiltonian", "constant Hamiltonian has no thermal curve")
-    if abs(beta1 - beta2) < _NEAR_EQUAL_BETA * (1.0 + abs(beta1)):
+    h.require_span()
+    if abs(beta1 - beta2) * h.span < 1e-6 * (1.0 + abs(beta1) * h.span):
         return 0.5 * (beta1 + beta2)
-    p1 = thermal_point(h, beta1)
-    p2 = thermal_point(h, beta2)
-    return (p1.entropy - p2.entropy) / (p1.energy - p2.energy)
+    ds, de = _curve_step(h, beta1, beta2)
+    return ds / de
 
 
-def _macrostates(spec: ExchangeSpec) -> tuple[Macrostate, Macrostate]:
-    return (
-        macrostate_of(spec.rho, spec.hamiltonian),
-        macrostate_of(spec.sigma, spec.hamiltonian),
-    )
-
-
-def _entropy_drops(spec: ExchangeSpec, x_rho: Macrostate, x_sigma: Macrostate) -> tuple[float, float]:
-    """(S(sigma)-S(rho), S(tau_b1)-S(tau_b2)); raises on inconsistent signs."""
+def _reservoir_ratio(spec: ExchangeSpec, x_rho: Macrostate, x_sigma: Macrostate) -> float:
+    """m/n = (S(sigma)-S(rho)) / (S(tau_b1)-S(tau_b2)); raises on inconsistent signs."""
     ds_system = x_sigma.entropy - x_rho.entropy
     p1 = thermal_point(spec.hamiltonian, spec.beta1)
     p2 = thermal_point(spec.hamiltonian, spec.beta2)
     ds_reservoir = p1.entropy - p2.entropy
     if ds_system == 0.0:
-        return 0.0, ds_reservoir
+        return 0.0
     if ds_reservoir == 0.0:
         raise ValidationError(
             "equal-reservoir-betas",
@@ -135,31 +124,27 @@ def _entropy_drops(spec: ExchangeSpec, x_rho: Macrostate, x_sigma: Macrostate) -
             f"the system's entropy change ({ds_system:+.6g}), which moves its own entropy the "
             "same way; swap beta1 and beta2",
         )
-    return ds_system, ds_reservoir
+    return ds_system / ds_reservoir
 
 
 def reservoir_ratio(spec: ExchangeSpec) -> float:
     """Reservoir copies per system copy: m/n = dS_system / dS_reservoir."""
-    x_rho, x_sigma = _macrostates(spec)
-    ds_system, ds_reservoir = _entropy_drops(spec, x_rho, x_sigma)
-    if ds_system == 0.0:
-        return 0.0
-    return ds_system / ds_reservoir
+    h = spec.hamiltonian
+    return _reservoir_ratio(spec, macrostate_of(spec.rho, h), macrostate_of(spec.sigma, h))
 
 
 def work_heat(spec: ExchangeSpec) -> ExchangeResult:
     """Work extracted and heat provided per copy, with the reservoir and
     battery sizes that realize the conversion."""
-    x_rho, x_sigma = _macrostates(spec)
-    ds_system, ds_reservoir = _entropy_drops(spec, x_rho, x_sigma)
-    m_over_n = ds_system / ds_reservoir if ds_system != 0.0 else 0.0
-    b_eff = beta_eff(spec.hamiltonian, spec.beta1, spec.beta2)
+    h = spec.hamiltonian
+    x_rho, x_sigma = macrostate_of(spec.rho, h), macrostate_of(spec.sigma, h)
+    m_over_n = _reservoir_ratio(spec, x_rho, x_sigma)
+    b_eff = beta_eff(h, spec.beta1, spec.beta2)
     work = (x_rho.energy - x_sigma.energy) - (x_rho.entropy - x_sigma.entropy) / b_eff
     heat = (x_sigma.entropy - x_rho.entropy) / b_eff
-    span = spec.hamiltonian.e_max - spec.hamiltonian.e_min
     return ExchangeResult(
         m_over_n=m_over_n,
-        ell_over_n=work / span,
+        ell_over_n=work / h.span,
         beta_eff=b_eff,
         work=work,
         heat=heat,
@@ -178,7 +163,7 @@ def erasure_work(
     """
     x_rho = macrostate_of(rho, h)
     x_sigma = macrostate_of(sigma, h)
-    if abs(x_rho.energy - x_sigma.energy) > 1e-9 * (h.e_max - h.e_min):
+    if abs(x_rho.energy - x_sigma.energy) > 1e-9 * h.span:
         raise DomainError(
             "energy-mismatch",
             f"erasure requires equal energies, got {x_rho.energy} vs {x_sigma.energy}",
@@ -204,8 +189,7 @@ def reservoir_size_for_epsilon(
     ds_system = x_sigma.entropy - x_rho.entropy
     if ds_system == 0.0:
         return ReservoirSizing(0.0, 0.0, epsilon)
-    spec = ExchangeSpec(h, rho, sigma, beta1, beta1 + epsilon)
-    exact = reservoir_ratio(spec)
+    exact = _reservoir_ratio(ExchangeSpec(h, rho, sigma, beta1, beta1 + epsilon), x_rho, x_sigma)
     return ReservoirSizing(ds_system / (beta1 * var * epsilon), exact, epsilon)
 
 
@@ -234,15 +218,12 @@ def engine_efficiencies(
         raise DomainError("bad-ordering", "reservoir temperatures must be positive (beta_hot > 0)")
     b_c = beta_eff(h, beta_cold, beta_less_cold)
     b_h = beta_eff(h, beta_hot, beta_less_hot)
-    cold_now = thermal_point(h, beta_cold)
-    cold_later = thermal_point(h, beta_less_cold)
-    q_hot = (cold_later.entropy - cold_now.entropy) / b_h
-    work = (cold_now.energy - cold_later.energy) - (cold_now.entropy - cold_later.entropy) / b_h
-    q_cold = cold_later.energy - cold_now.energy
+    # the cold reservoir's (entropy, energy) drop from now to later
+    ds, de = _curve_step(h, beta_cold, beta_less_cold)
     return EnginePerformance(
         eta_engine=1.0 - b_h / b_c,
         eta_refrigerator=1.0 / (b_c / b_h - 1.0),
-        work=work,
-        q_hot=q_hot,
-        q_cold=q_cold,
+        work=de - ds / b_h,
+        q_hot=-ds / b_h,
+        q_cold=-de,
     )

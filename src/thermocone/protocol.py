@@ -47,8 +47,9 @@ class Distribution:
         if not self.probabilities:
             raise ValidationError("empty-distribution", "need at least one outcome")
         probs = tuple(float(x) for x in self.probabilities)
-        if min(probs) < -1e-15:
-            raise ValidationError("bad-probability", f"negative probability {min(probs)}")
+        bad = [x for x in probs if not -1e-15 <= x <= 1.0 + 1e-12]
+        if bad:
+            raise ValidationError("bad-probability", f"probability {bad[0]} outside [0, 1]")
         probs = tuple(max(0.0, x) for x in probs)
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-12:

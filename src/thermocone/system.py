@@ -67,6 +67,8 @@ class HamiltonianSpec:
         es = [e for e, _ in self.levels]
         if any(b <= a for a, b in zip(es, es[1:])):
             raise ValidationError("bad-level", "level energies must be strictly ascending")
+        if not math.isfinite(self.span):
+            raise ValidationError("bad-level", f"level span {es[-1]} - {es[0]} overflows")
 
     @property
     def dim(self) -> int:
@@ -79,6 +81,30 @@ class HamiltonianSpec:
     @property
     def e_max(self) -> float:
         return self.levels[-1][0]
+
+    @cached_property
+    def span(self) -> float:
+        """E_max - E_min, the scale of every energy tolerance."""
+        return self.e_max - self.e_min
+
+    @cached_property
+    def unit(self) -> float:
+        """The thermal kernel's energy unit, the power of two in (span/2, span]: rescaling by it is exact."""
+        return math.ldexp(0.5, math.frexp(self.span)[1]) if self.span else 1.0
+
+    def require_span(self) -> None:
+        """Raise ``DomainError`` for a single level, which has no scale and no thermal curve."""
+        if not self.span:
+            raise DomainError("degenerate-hamiltonian", "all levels share one energy; there is no thermal curve")
+
+    def energy_tol(self, tol: float) -> float:
+        """``tol`` as an energy: relative to the span (absolute for a single level)."""
+        return tol * (self.span or 1.0)
+
+    @cached_property
+    def unit_levels(self) -> tuple[tuple[tuple[float, int], ...], ...]:
+        """``levels`` as ((e - E_min)/unit, g) and as ((e - E_max)/unit, g)."""
+        return tuple(tuple(((e - ref) / self.unit, g) for e, g in self.levels) for ref in (self.e_min, self.e_max))
 
     @property
     def g_ground(self) -> int:
@@ -95,16 +121,13 @@ class HamiltonianSpec:
     def energies(self) -> np.ndarray:
         return np.array([e for e, _ in self.levels])
 
-    def degeneracies(self) -> np.ndarray:
-        return np.array([g for _, g in self.levels], dtype=float)
-
     def expanded_energies(self) -> np.ndarray:
         """Per-basis-state energies (levels repeated by degeneracy)."""
         return np.repeat(self.energies(), [g for _, g in self.levels])
 
     @cached_property
     def _mixed_energy(self) -> float:
-        return float(np.dot(self.energies(), self.degeneracies()) / self.dim)
+        return float(np.dot(self.energies(), [float(g) for _, g in self.levels]) / self.dim)
 
     def mixed_energy(self) -> float:
         """Average energy of the maximally mixed state."""
@@ -234,7 +257,8 @@ def validate_state(state: QuantumState, h: HamiltonianSpec) -> QuantumState:
                 "dimension-mismatch", f"spectrum length {eigs.size} != Hamiltonian dimension {h.dim}"
             )
         eigs = _clip_spectrum(eigs)
-        if not h.e_min - 1e-9 <= state.energy <= h.e_max + 1e-9:
+        e_tol = h.energy_tol(1e-9)
+        if not h.e_min - e_tol <= state.energy <= h.e_max + e_tol:
             raise ValidationError(
                 "energy-out-of-range", f"average energy {state.energy} outside [{h.e_min}, {h.e_max}]"
             )
@@ -267,8 +291,6 @@ def macrostate_of(state: QuantumState, h: HamiltonianSpec) -> Macrostate:
 
 def cone_point_of(state: QuantumState, h: HamiltonianSpec) -> ConePoint:
     """Extensive point n*(E, S, 1); additive over tensor products."""
-    if state.n <= 0:
-        raise DomainError("bad-copy-count", "copy count must be positive")
     x = macrostate_of(state, h)
     return ConePoint(state.n * x.energy, state.n * x.entropy, state.n)
 

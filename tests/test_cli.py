@@ -590,6 +590,29 @@ class TestErrorMapping:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "outcome-overflow"
 
+    def test_probability_above_one_exits_2(self, capsys):
+        # the entries would overflow the normalization sum
+        code, out, err = run_cli(capsys, "coarse", "--p", "[1e308,1e308]", "--q", "[0.5,0.5]")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-probability"
+
+    def test_overflowing_span_exits_2(self, capsys):
+        hamiltonian = '{"levels":[{"energy":-1e308},{"energy":1e308}]}'
+        code, out, err = run_cli(capsys, "member", "--hamiltonian", hamiltonian, "--macro", '{"E":0,"S":0.1}')
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "bad-level"
+
+    @pytest.mark.parametrize("energy, code", [("5e307", 0), ("0.5", 1)])
+    def test_wmax_near_float_max_span(self, capsys, energy, code):
+        hamiltonian = '{"levels":[{"energy":0},{"energy":1e308}]}'
+        rho = '{"spectrum":[0.5,0.5],"energy":%s}' % energy
+        got, out, err = run_cli(capsys, "wmax", "--hamiltonian", hamiltonian, "--rho", rho)
+        assert got == code
+        if code == 0:
+            assert json.loads(out) == {"w_max": 0.0}
+        else:
+            assert out == "" and json.loads(err)["error"] == "negative-work"
+
     def test_non_numeric_distribution_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "coarse", "--p", '[0.5,"half"]', "--q", "[0.5,0.5]")
         assert code == 2

@@ -169,6 +169,15 @@ class TestReservoirSizing:
         sizing = reservoir_size_for_epsilon(qubit, RHO, SIGMA, 1.0, 1e-3)
         assert sizing.exact_ratio == pytest.approx(sizing.leading_term, rel=0.02)
 
+    def test_reduces_each_state_once(self, qubit, monkeypatch):
+        from thermocone import system
+
+        calls = []
+        validate = system.validate_state
+        monkeypatch.setattr(system, "validate_state", lambda *a: calls.append(a) or validate(*a))
+        reservoir_size_for_epsilon(qubit, RHO, SIGMA, 1.0, 0.01)
+        assert len(calls) == 2
+
     def test_degenerate_inputs_rejected(self, qubit):
         with pytest.raises(ValidationError):
             reservoir_size_for_epsilon(qubit, RHO, SIGMA, 1.0, 0.0)
