@@ -76,6 +76,25 @@ class TestThermalPoint:
         # the scalar path measures S from the top plateau, log 3
         assert tp.entropy == pytest.approx(math.log(3) + thermal._moments(h, -750.0)[1], abs=1e-12)
 
+    def test_kernel_units_rescale_exactly(self):
+        """The kernels work in a power-of-two unit of the span, so at any
+        energy scale their results equal the Boltzmann sums taken in user
+        units bit for bit."""
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            c = 10.0 ** rng.uniform(-12.0, 12.0)
+            levels = random_hamiltonian(rng, d_min=2, d_max=6, degenerate=True).levels
+            h = HamiltonianSpec(tuple((c * e, g) for e, g in levels))
+            for t in rng.uniform(-40.0, 40.0, size=4):
+                beta = float(t) / h.span
+                ref, g_ref = (h.e_min, h.g_ground) if beta > 0 else (h.e_max, h.g_top)
+                weights = [(g * math.exp(-beta * (e - ref)), e - ref) for e, g in h.levels]
+                z = g_ref + sum(w for w, d in weights if d != 0.0)
+                rel = sum(w * d for w, d in weights) / z
+                entropy = min(max(math.log(z) + beta * rel, 0.0), h.log_dim)
+                tp = thermal_point(h, beta)
+                assert (tp.energy, tp.log_z, tp.entropy) == (ref + rel, math.log(z) - beta * ref, entropy)
+
     def test_constant_hamiltonian(self):
         h = HamiltonianSpec(((0.7, 3),))
         tp = thermal_point(h, 12.0)
