@@ -26,7 +26,7 @@ import numpy as np
 from . import cone, diagram, exchange, protocol, sumsets, thermal
 from .dilation import build_energy_preserving_dilation
 from .errors import ThermoconeError, ValidationError
-from .system import Macrostate, as_number, cone_point_of, hamiltonian_from_json, state_from_json
+from .system import Macrostate, as_number, complex_matrix, cone_point_of, hamiltonian_from_json, state_from_json
 
 __all__ = ["main", "emit"]
 
@@ -163,13 +163,6 @@ def _distribution(value: str) -> protocol.Distribution:
     return protocol.Distribution(tuple(as_number(x, "distribution entry") for x in data))
 
 
-def _complex_matrix(data) -> np.ndarray:
-    try:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in data])
-    except (TypeError, IndexError) as exc:
-        raise ValidationError("bad-matrix-json", f"matrix entries must be [re, im] pairs: {exc}") from exc
-
-
 def _level_set(value: str) -> sumsets.LevelSet:
     data = _load_json_arg(value)
     if not isinstance(data, list):
@@ -266,7 +259,7 @@ def _cmd_dilate(args) -> dict[str, list]:
     h = _hamiltonian(args)
     report = build_energy_preserving_dilation(
         h,
-        _complex_matrix(_load_json_arg(args.unitary)),
+        complex_matrix(_load_json_arg(args.unitary), "bad-matrix-json"),
         state_from_json(_load_json_arg(args.rho)),
         state_from_json(_load_json_arg(args.sigma)),
         _level_set(args.m_levels),

@@ -127,7 +127,7 @@ def facet_check(
     beta_grid: Sequence[float],
 ) -> FacetSlack:
     """Minimum of {x_S, A_beta(x) over the grid, and the two energy-limit
-    functionals} with the achieving facet; an independent, grid-based
+    functionals over the span} with the achieving facet; an independent, grid-based
     cross-check of ``diagram_contains``."""
     betas = np.asarray(beta_grid, dtype=float)
     if betas.size == 0:
@@ -137,8 +137,10 @@ def facet_check(
     best = FacetSlack(float(slacks[i]), "athermality", float(betas[i]))
     if x.entropy < best.slack:
         best = FacetSlack(x.entropy, "entropy")
-    ground = x.energy - h.e_min
-    top = h.e_max - x.energy
+    # the energy-limit slacks in span units, so that the minimum is unit-free
+    scale = h.span or 1.0
+    ground = (x.energy - h.e_min) / scale
+    top = (h.e_max - x.energy) / scale
     if ground < best.slack:
         best = FacetSlack(ground, "ground")
     if top < best.slack:

@@ -42,11 +42,10 @@ def as_hermitian_matrix(m, tol: float = 1e-12) -> np.ndarray:
     if not np.isfinite(a).all():
         i, j = map(int, np.argwhere(~np.isfinite(a))[0])
         raise ValidationError("non-finite-entry", f"entry ({i},{j})={a[i, j]} is not finite")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    resid = a - a.conj().T
-    bad = np.argwhere(np.abs(resid) > tol * scale)
-    if bad.size:
-        i, j = map(int, bad[0])
+    scale = float(np.abs(a).max(initial=1.0))
+    bad = np.abs(a - a.conj().T) > tol * scale
+    if bad.any():
+        i, j = map(int, np.argwhere(bad)[0])
         raise ValidationError(
             "not-hermitian",
             f"entry ({i},{j})={a[i, j]:.6g} is not the conjugate of ({j},{i})={a[j, i]:.6g}",

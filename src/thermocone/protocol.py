@@ -386,6 +386,8 @@ def run_entropy_protocol(
     works) and is only accounted for through the fiber-size bound.
     Atypical source mass is routed to the first typical target outcome.
     """
+    if outcome_cap >= 2**63:  # the greedy counts items in int64
+        raise ValidationError("bad-outcome-cap", "outcome cap must be below 2**63")
     gap = abs(p.shannon_bits() - q.shannon_bits())
     if gap > entropy_tol:
         raise DomainError(
@@ -399,8 +401,8 @@ def run_entropy_protocol(
     tp = typical_set(p, n, max_type_classes)
     tq = typical_set(q, n, max_type_classes)
     k = default_ancilla_bits(p, n) if ancilla_bits is None else int(ancilla_bits)
-    if k < 0:
-        raise ValidationError("bad-ancilla-bits", "ancilla_bits must be >= 0")
+    if not 0 <= k < 63:  # 2**63 items would pass any cap
+        raise ValidationError("bad-ancilla-bits", f"ancilla_bits must be in [0, 62], got {k}")
     items = tp.outcome_count << k
     if items > outcome_cap or tq.outcome_count > outcome_cap:
         raise DomainError(

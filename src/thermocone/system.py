@@ -12,16 +12,17 @@ tangent relation dS = beta dE holds with beta in inverse energy units.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import as_hermitian_matrix, eigvals_hermitian
+from .numerics import as_hermitian_matrix
 
 __all__ = [
     "as_number",
@@ -48,6 +49,14 @@ def as_number(value, field: str) -> float:
         raise ValidationError("bad-number", f"{field} must be a number, got {value!r}") from exc
 
 
+def complex_matrix(rows, code: str) -> np.ndarray:
+    """Decode nested ``[re, im]`` pairs; a malformed entry raises ``ValidationError(code)``."""
+    try:
+        return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
+    except (TypeError, IndexError) as exc:
+        raise ValidationError(code, f"matrix entries must be [re, im] pairs: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Energy levels with degeneracies, strictly ascending in energy."""
@@ -61,8 +70,9 @@ class HamiltonianSpec:
         for e, g in levels:
             if not math.isfinite(e):
                 raise ValidationError("bad-level", f"non-finite level energy {e}")
-            if not (g.is_integer() and g >= 1):
-                raise ValidationError("bad-level", f"degeneracy must be a whole number >= 1, got {g}")
+            # past 2**53 a float no longer holds every whole number
+            if not (g.is_integer() and 1 <= g <= 2**53):
+                raise ValidationError("bad-level", f"degeneracy must be a whole number in [1, 2**53], got {g}")
         object.__setattr__(self, "levels", tuple((e, int(g)) for e, g in levels))
         es = [e for e, _ in self.levels]
         if any(b <= a for a, b in zip(es, es[1:])):
@@ -178,13 +188,20 @@ _TRACE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QuantumState:
-    """One of {matrix, spectrum+energy, macrostate}, with copy count n."""
+    """One of {matrix, spectrum+energy, macrostate}, with copy count n.
+
+    Construction runs, once, every check that needs no Hamiltonian. A
+    matrix is stored symmetrised and read-only, with its spectrum; a
+    spectrum is clipped and normalised; both carry their von Neumann
+    ``entropy`` (nats, 0 log 0 = 0). ``validate_state`` does the rest.
+    """
 
     n: float = 1.0
     matrix: Optional[np.ndarray] = None
     spectrum: Optional[tuple[float, ...]] = None
     energy: Optional[float] = None
     macro: Optional[Macrostate] = None
+    entropy: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.n) and self.n > 0):
@@ -194,6 +211,32 @@ class QuantumState:
             raise ValidationError("bad-state", "exactly one of matrix / spectrum / macro must be given")
         if self.spectrum is not None and self.energy is None:
             raise ValidationError("bad-state", "spectral form needs an average energy")
+        if self.matrix is not None:
+            a = as_hermitian_matrix(self.matrix)
+            tr = float(a.trace().real)
+            if abs(tr - 1.0) > _TRACE_TOL:
+                raise ValidationError("bad-trace", f"trace is {tr:.12g}, expected 1")
+            a.setflags(write=False)
+            object.__setattr__(self, "matrix", a)
+            eigs = np.linalg.eigvalsh(a)
+        elif self.spectrum is not None:
+            eigs = np.asarray(self.spectrum, dtype=float)
+        else:
+            return
+        # clip eigenvalues in [-1e-10, 0) to zero and renormalize
+        if not np.isfinite(eigs).all():
+            raise ValidationError("non-finite-eigenvalue", f"spectrum {eigs.tolist()} has a non-finite entry")
+        if float(eigs.min(initial=0.0)) < -_NEG_EIG_TOL:
+            raise ValidationError("negative-eigenvalue", f"eigenvalue {eigs.min():.3g} below -1e-10")
+        eigs = np.clip(eigs, 0.0, None)
+        total = float(eigs.sum())
+        if abs(total - 1.0) > _TRACE_TOL:
+            raise ValidationError("bad-trace", f"spectrum sums to {total:.12g}, expected 1")
+        eigs = eigs / total
+        pos = eigs[eigs > 0.0]
+        entropy = float(-np.dot(pos, np.log(pos))) if pos.size else 0.0
+        object.__setattr__(self, "spectrum", tuple(eigs))
+        object.__setattr__(self, "entropy", min(max(entropy, 0.0), math.log(eigs.size)))
 
     @classmethod
     def from_matrix(cls, matrix, n: float = 1.0) -> "QuantumState":
@@ -217,76 +260,44 @@ class QuantumState:
         return "macro"
 
 
-def _clip_spectrum(eigs: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues in [-1e-10, 0) to zero and renormalize."""
-    if not np.isfinite(eigs).all():
-        raise ValidationError("non-finite-eigenvalue", f"spectrum {eigs.tolist()} has a non-finite entry")
-    if float(eigs.min(initial=0.0)) < -_NEG_EIG_TOL:
-        raise ValidationError("negative-eigenvalue", f"eigenvalue {eigs.min():.3g} below -1e-10")
-    eigs = np.clip(eigs, 0.0, None)
-    total = float(eigs.sum())
-    if abs(total - 1.0) > _TRACE_TOL:
-        raise ValidationError("bad-trace", f"spectrum sums to {total:.12g}, expected 1")
-    return eigs / total
-
-
 def validate_state(state: QuantumState, h: HamiltonianSpec) -> QuantumState:
-    """Check all representation invariants against ``h``; return a
-    normalized copy.
+    """Check ``state`` against ``h``: its dimension and energy, or a
+    macrostate's membership in the diagram. Returns the state; a matrix
+    comes back in spectral form, its energy read off the diagonal."""
+    if state.macro is not None:
+        from .diagram import Verdict, diagram_contains
 
-    Matrix input is reduced to spectral form (spectrum via
-    ``eigvals_hermitian``, energy from the diagonal), since clipping tiny
-    negative eigenvalues is only well defined on the spectrum.
-    """
-    if state.matrix is not None:
-        a = as_hermitian_matrix(state.matrix)
-        if a.shape[0] != h.dim:
+        if diagram_contains(h, state.macro, tol=1e-9) is Verdict.OUTSIDE:
             raise ValidationError(
-                "dimension-mismatch", f"state dimension {a.shape[0]} != Hamiltonian dimension {h.dim}"
+                "macrostate-outside-diagram",
+                f"({state.macro.energy}, {state.macro.entropy}) is not an achievable macrostate",
             )
-        tr = float(a.trace().real)
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValidationError("bad-trace", f"trace is {tr:.12g}, expected 1")
-        eigs = _clip_spectrum(np.array(eigvals_hermitian(a)))
-        energy = float(np.real(np.dot(h.expanded_energies(), a.diagonal().real))) / tr
-        return QuantumState(n=state.n, spectrum=tuple(eigs), energy=energy)
-    if state.spectrum is not None:
-        eigs = np.asarray(state.spectrum, dtype=float)
-        if eigs.size != h.dim:
-            raise ValidationError(
-                "dimension-mismatch", f"spectrum length {eigs.size} != Hamiltonian dimension {h.dim}"
-            )
-        eigs = _clip_spectrum(eigs)
+        return state
+    if len(state.spectrum) != h.dim:
+        raise ValidationError(
+            "dimension-mismatch", f"state dimension {len(state.spectrum)} != Hamiltonian dimension {h.dim}"
+        )
+    if state.matrix is None:
         e_tol = h.energy_tol(1e-9)
         if not h.e_min - e_tol <= state.energy <= h.e_max + e_tol:
             raise ValidationError(
                 "energy-out-of-range", f"average energy {state.energy} outside [{h.e_min}, {h.e_max}]"
             )
-        return QuantumState(n=state.n, spectrum=tuple(eigs), energy=float(state.energy))
-    # macro form: membership in the energy-entropy diagram
-    from .diagram import Verdict, diagram_contains
-
-    if diagram_contains(h, state.macro, tol=1e-9) is Verdict.OUTSIDE:
-        raise ValidationError(
-            "macrostate-outside-diagram",
-            f"({state.macro.energy}, {state.macro.entropy}) is not an achievable macrostate",
-        )
-    return state
+        return state
+    a = state.matrix
+    energy = float(np.dot(h.expanded_energies(), a.diagonal().real)) / float(a.trace().real)
+    reduced = copy.copy(state)  # not ``replace``: building anew would renormalise the spectrum again
+    object.__setattr__(reduced, "matrix", None)
+    object.__setattr__(reduced, "energy", energy)
+    return reduced
 
 
 def macrostate_of(state: QuantumState, h: HamiltonianSpec) -> Macrostate:
-    """Per-copy (average energy, von Neumann entropy) of a state.
-
-    Entropy uses the convention 0*log 0 = 0 and is reported in nats.
-    """
+    """Per-copy (average energy, von Neumann entropy) of a state, in nats."""
     state = validate_state(state, h)
     if state.macro is not None:
         return state.macro
-    eigs = np.asarray(state.spectrum)
-    pos = eigs[eigs > 0.0]
-    entropy = float(-np.dot(pos, np.log(pos))) if pos.size else 0.0
-    entropy = min(max(entropy, 0.0), h.log_dim)
-    return Macrostate(float(state.energy), entropy)
+    return Macrostate(float(state.energy), state.entropy)
 
 
 def cone_point_of(state: QuantumState, h: HamiltonianSpec) -> ConePoint:
@@ -319,12 +330,7 @@ def state_from_json(data) -> QuantumState:
         raise ValidationError("bad-state-json", "state must be a JSON object")
     n = as_number(data.get("n", 1.0), "n")
     if "matrix" in data:
-        rows = data["matrix"]
-        try:
-            mat = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-        except (TypeError, IndexError) as exc:
-            raise ValidationError("bad-state-json", f"matrix entries must be [re, im] pairs: {exc}") from exc
-        return QuantumState.from_matrix(mat, n=n)
+        return QuantumState.from_matrix(complex_matrix(data["matrix"], "bad-state-json"), n=n)
     if "spectrum" in data:
         if "energy" not in data:
             raise ValidationError("bad-state-json", "spectral form needs an 'energy' field")

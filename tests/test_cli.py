@@ -29,6 +29,13 @@ def qubit_file(tmp_path):
     return str(path)
 
 
+def _dilate(rho: str) -> list[str]:
+    """A qubit ``dilate`` call that swaps the levels of ``rho``."""
+    return ["dilate", "--hamiltonian", QUBIT, "--unitary", "[[[0,0],[1,0]],[[1,0],[0,0]]]", "--rho", rho,
+            "--sigma", '{"matrix":[[[1,0],[0,0]],[[0,0],[0,0]]]}', "--m-levels", "[-3,-2,-1,0,1,2,3]",
+            "--delta", "0.143"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -570,10 +577,20 @@ class TestErrorMapping:
             (["coarse", "--p", "[true, false]", "--q", "[0.5,0.5]"], "bad-number"),
             (["member", "--hamiltonian", '{"levels":[{"energy":0,"degeneracy":true},{"energy":1,"degeneracy":1}]}',
               "--macro", '{"E":0.5,"S":0.1}'], "bad-number"),
+            (["curve", "--hamiltonian", '{"levels":[{"energy":0,"degeneracy":1e20},{"energy":1,"degeneracy":1}]}',
+              "--beta-min", "0", "--beta-max", "1", "--samples", "2"], "bad-level"),
+            (["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--ancilla-bits", "20000"],
+             "bad-ancilla-bits"),
+            (["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--ancilla-bits", "60",
+              "--cap", str(10**400)], "bad-outcome-cap"),
+            (_dilate('{"matrix":[[[0.6,0],[0,0]],[[0,0],[0.6,0]]]}'), "bad-trace"),
+            (_dilate('{"matrix":[[[-0.5,0],[0,0]],[[0,0],[1.5,0]]]}'), "negative-eigenvalue"),
+            (_dilate('{"matrix":[[[0.5,0],[0.5,0]],[[0,0],[0.5,0]]]}'), "not-hermitian"),
         ],
-        ids=["levels", "distribution", "degeneracy"],
+        ids=["levels", "distribution", "degeneracy", "huge-degeneracy", "huge-ancilla-bits", "huge-cap",
+             "dilate-bad-trace", "dilate-negative-rho", "dilate-non-hermitian"],
     )
-    def test_boolean_as_number_exits_2(self, capsys, argv, error):
+    def test_refused_input_exits_2(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == error

@@ -23,6 +23,7 @@ from thermocone import (
     Verdict,
     cone_contains,
     diagram_contains,
+    facet_check,
     macrostate_of,
     max_entropy_at_energy,
     r_max,
@@ -153,6 +154,16 @@ def test_work_heat(c):
                 a, b = getattr(got, name) / c, getattr(want, name)
                 assert abs(a - b) <= rel * (abs(b) + h.span), (name, h, c, t1, t2, a, b)
             assert math.isclose(got.m_over_n, want.m_over_n, rel_tol=rel, abs_tol=rel)
+
+
+@pytest.mark.parametrize("c", (1.0, *SCALES))
+def test_facet_check(c):
+    """The energy-limit slacks are compared in span units, as the
+    athermality slacks are unit-free."""
+    h = HamiltonianSpec(((0.0, 1), (0.4 * c, 2), (c, 1)))
+    got = facet_check(h, Macrostate(0.5 * c, 0.9), np.linspace(-50.0, 50.0, 401) / c)
+    assert got.facet == "athermality" and got.beta * c == pytest.approx(-0.5, rel=1e-12)
+    assert got.slack == pytest.approx(0.4775777437412405, rel=1e-12)
 
 
 def test_single_level_keeps_absolute_tolerances():

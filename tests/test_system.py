@@ -6,6 +6,7 @@ import pytest
 
 from thermocone import (
     ConePoint,
+    ExchangeSpec,
     HamiltonianSpec,
     QuantumState,
     ValidationError,
@@ -14,6 +15,8 @@ from thermocone import (
     macrostate_of,
     state_from_json,
     validate_state,
+    w_max,
+    work_heat,
 )
 
 from conftest import random_hamiltonian
@@ -87,6 +90,48 @@ class TestValidateState:
             QuantumState(n=1.0)
         with pytest.raises(ValidationError):
             QuantumState(n=0.0, macro=None, spectrum=(1.0,), energy=0.0)
+
+
+class TestConstruction:
+    def test_one_eigensolve_per_matrix_state(self, qubit, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        rho = QuantumState.from_matrix(np.diag([0.75, 0.25]))
+        sigma = QuantumState.from_matrix(np.eye(2) / 2)
+        assert len(calls) == 2
+        for state in (rho, sigma):
+            macrostate_of(state, qubit)
+            w_max(qubit, state)
+            cone_point_of(state, qubit)
+        work_heat(ExchangeSpec(qubit, rho, sigma, 1.0, 2.0))
+        assert len(calls) == 2
+
+    def test_matrix_is_a_read_only_copy(self):
+        given = np.eye(2, dtype=complex) / 2
+        state = QuantumState.from_matrix(given)
+        given[0, 0] = 1.0
+        assert state.matrix[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+
+    def test_matrix_reduces_to_its_spectral_form(self, qubit):
+        matrix = QuantumState.from_matrix(np.diag([0.25, 0.75]), n=2.0)
+        spectral = validate_state(matrix, qubit)
+        assert spectral.kind == "spectrum" and spectral.n == 2.0
+        assert spectral.spectrum is matrix.spectrum and spectral.entropy == matrix.entropy
+        assert spectral.energy == 0.75
+        assert macrostate_of(QuantumState.from_spectrum(matrix.spectrum, 0.75), qubit) == macrostate_of(matrix, qubit)
+
+    def test_checks_without_a_hamiltonian(self):
+        for matrix, code in (
+            (np.diag([0.6, 0.6]), "bad-trace"),
+            (np.diag([-0.5, 1.5]), "negative-eigenvalue"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "not-hermitian"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                QuantumState.from_matrix(matrix)
+            assert err.value.code == code
 
 
 class TestMacrostate:
