@@ -40,7 +40,7 @@ from .diagram import (
 from .errors import DomainError
 from .numerics import Bracket, minimize_scalar, solve_root_bracketed
 from .system import ConePoint, HamiltonianSpec, Macrostate
-from .thermal import _T_CAP, _moments, beta_from_energy, log_partition, thermal_point
+from .thermal import _T_CAP, _shifted_weights, _variance, beta_from_energy, log_partition, thermal_point
 
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
@@ -169,14 +169,17 @@ def r_max(
 
         def ratio_at(t: float) -> tuple[float, float, float]:
             # R = N/D in t = beta*unit, with N' = (y_E - size*E)/unit and
-            # N'' = size*Var/unit^2 (likewise D)
-            tp, var = thermal_point(h, t / h.unit), _moments(h, t)[2]
-            n, d = _slack(y_rho, tp.beta, tp.log_z), _slack(y_sigma, tp.beta, tp.log_z)
+            # N'' = size*Var/unit^2 (likewise D); log Z, E and Var come from
+            # one kernel evaluation, by thermal_point's and _moments' formulas
+            ref, g_ref, rest, rel, weights = _shifted_weights(h, t)
+            beta, z = t / h.unit, g_ref + rest
+            log_z, energy, var = math.log(z) - beta * ref, ref + rel * h.unit, _variance(weights, rel, z)
+            n, d = _slack(y_rho, beta, log_z), _slack(y_sigma, beta, log_z)
             if d <= floor:
                 return math.inf, math.nan, math.nan
             if n <= 0.0:
                 return 0.0, 0.0, 0.0
-            dn, dd = ((y.energy - y.size * tp.energy) / h.unit for y in (y_rho, y_sigma))
+            dn, dd = ((y.energy - y.size * energy) / h.unit for y in (y_rho, y_sigma))
             r, dr = n / d, (dn * d - n * dd) / (d * d)
             return r, dr, (var * (y_rho.size - r * y_sigma.size) - 2.0 * dr * dd) / d
 

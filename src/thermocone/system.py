@@ -57,6 +57,23 @@ def complex_matrix(rows, code: str) -> np.ndarray:
         raise ValidationError(code, f"matrix entries must be [re, im] pairs: {exc}") from exc
 
 
+def _degeneracy(g) -> int:
+    """``g`` as a whole number in [1, 2**53]: past 2**53 a float no longer
+    holds every whole number, so an integer, or a string that spells one,
+    is checked as it is, before any float conversion could round 2**53 + 1
+    to 2**53."""
+    if isinstance(g, str):
+        try:
+            g = int(g)
+        except ValueError:
+            pass  # not an integer literal: read as a number below
+    exact = isinstance(g, (int, np.integer)) and not isinstance(g, bool)
+    value = int(g) if exact else as_number(g, "degeneracy")
+    if not ((exact or value.is_integer()) and 1 <= value <= 2**53):
+        raise ValidationError("bad-level", f"degeneracy must be a whole number in [1, 2**53], got {g}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Energy levels with degeneracies, strictly ascending in energy."""
@@ -66,21 +83,18 @@ class HamiltonianSpec:
     def __post_init__(self):
         if not self.levels:
             raise ValidationError("empty-hamiltonian", "need at least one energy level")
-        levels = tuple((as_number(e, "level energy"), as_number(g, "degeneracy")) for e, g in self.levels)
-        for e, g in levels:
+        levels = tuple((as_number(e, "level energy"), _degeneracy(g)) for e, g in self.levels)
+        for e, _ in levels:
             if not math.isfinite(e):
                 raise ValidationError("bad-level", f"non-finite level energy {e}")
-            # past 2**53 a float no longer holds every whole number
-            if not (g.is_integer() and 1 <= g <= 2**53):
-                raise ValidationError("bad-level", f"degeneracy must be a whole number in [1, 2**53], got {g}")
-        object.__setattr__(self, "levels", tuple((e, int(g)) for e, g in levels))
+        object.__setattr__(self, "levels", levels)
         es = [e for e, _ in self.levels]
         if any(b <= a for a, b in zip(es, es[1:])):
             raise ValidationError("bad-level", "level energies must be strictly ascending")
         if not math.isfinite(self.span):
             raise ValidationError("bad-level", f"level span {es[-1]} - {es[0]} overflows")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(g for _, g in self.levels)
 
@@ -124,7 +138,7 @@ class HamiltonianSpec:
     def g_top(self) -> int:
         return self.levels[-1][1]
 
-    @property
+    @cached_property
     def log_dim(self) -> float:
         return math.log(self.dim)
 
@@ -186,7 +200,7 @@ _NEG_EIG_TOL = 1e-10
 _TRACE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumState:
     """One of {matrix, spectrum+energy, macrostate}, with copy count n.
 
@@ -194,6 +208,8 @@ class QuantumState:
     matrix is stored symmetrised and read-only, with its spectrum; a
     spectrum is clipped and normalised; both carry their von Neumann
     ``entropy`` (nats, 0 log 0 = 0). ``validate_state`` does the rest.
+    States compare by value: two matrix states by n and their stored
+    matrices, the others by n, spectrum, energy and macrostate.
     """
 
     n: float = 1.0
@@ -237,6 +253,22 @@ class QuantumState:
         entropy = float(-np.dot(pos, np.log(pos))) if pos.size else 0.0
         object.__setattr__(self, "spectrum", tuple(eigs))
         object.__setattr__(self, "entropy", min(max(entropy, 0.0), math.log(eigs.size)))
+
+    def __eq__(self, other):
+        if not isinstance(other, QuantumState):
+            return NotImplemented
+        if self.matrix is None or other.matrix is None:
+            return self.matrix is other.matrix and self._values() == other._values()
+        return self.n == other.n and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        if self.matrix is None:
+            return hash(self._values())
+        # entries as Python numbers, which hash alike when they compare equal (0.0 and -0.0)
+        return hash((self.n, tuple(self.matrix.ravel().tolist())))
+
+    def _values(self) -> tuple:
+        return self.n, self.spectrum, self.energy, self.macro
 
     @classmethod
     def from_matrix(cls, matrix, n: float = 1.0) -> "QuantumState":

@@ -10,7 +10,12 @@ shifted to the plateau level ``ref`` on beta's side, so nothing overflows;
 beyond ``beta_cap`` the curve is numerically flat and the exact plateau
 values are returned. One formula has two kernels: a scalar one
 (``thermal_point`` and the inverse solvers) and an array one
-(``thermal_points`` and ``log_partition``).
+(``thermal_points`` and ``log_partition``). Both add their sums in level
+order with plain floating-point additions, on every supported Python
+(``sum()`` over floats is compensated from Python 3.12 on, so neither
+kernel uses it). Their weights come from ``math.exp`` and ``np.exp``,
+which may differ in the last bit (numpy's AVX-512 exp does), so the two
+kernels agree to a few ulp, and bit for bit where their weights agree.
 """
 
 from __future__ import annotations
@@ -71,23 +76,37 @@ def _shifted_weights(h: HamiltonianSpec, t: float):
     ``weights`` holds the (w_i, (e_i - ref)/unit) pairs."""
     top = math.copysign(1.0, t) < 0
     ref, g_ref = (h.e_max, h.g_top) if top else (h.e_min, h.g_ground)
-    weights = [(g * math.exp(-t * d), d) for d, g in h.unit_levels[top]]
-    rest = sum(w for w, d in weights if d != 0.0)
-    rel = sum(w * d for w, d in weights) / (g_ref + rest)
-    return ref, g_ref, rest, rel, weights
+    weights = []
+    rest = first = 0.0
+    for d, g in h.unit_levels[top]:
+        w = g * math.exp(-t * d)
+        weights.append((w, d))
+        if d != 0.0:
+            rest += w
+        first += w * d
+    return ref, g_ref, rest, first / (g_ref + rest), weights
+
+
+def _level_sum(rows: np.ndarray) -> np.ndarray:
+    """Column sums of a (levels, samples) array, added from 0.0 in level
+    order as the scalar kernel adds."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total += row
+    return total
 
 
 def _shifted_weight_rows(h: HamiltonianSpec, t: np.ndarray):
     """Array kernel: ``_shifted_weights`` for each finite t, as (ref, d,
-    w, z) with d = (e_i - ref)/unit and the weights w as (len(t), levels)
-    arrays. Sums run in level order (``cumsum``), as in the scalar
-    kernel, so both kernels round alike."""
+    w, z) with d = (e_i - ref)/unit and the weights w as (levels, len(t))
+    arrays, one row per level. ``rest`` is added in level order
+    (``_level_sum``), as in the scalar kernel."""
     top = np.signbit(t)
     ref = np.where(top, h.e_max, h.e_min)
     levels = np.array(h.unit_levels)
-    d = levels[top.astype(np.intp), :, 0]
-    w = levels[0, :, 1] * np.exp(-t[:, None] * d)
-    rest = np.cumsum(np.where(d != 0.0, w, 0.0), axis=1)[:, -1]
+    d = np.where(top, levels[1, :, :1], levels[0, :, :1])
+    w = levels[0, :, 1:] * np.exp(-t * d)
+    rest = _level_sum(np.where(d != 0.0, w, 0.0))
     return ref, d, w, np.where(top, h.g_top, h.g_ground) + rest
 
 
@@ -136,7 +155,7 @@ def thermal_points(h: HamiltonianSpec, betas) -> tuple[np.ndarray, np.ndarray, n
     finite_b = np.where(plateau, 0.0, b)
     t = finite_b * h.unit
     ref, d, w, z = _shifted_weight_rows(h, t)
-    rel = np.cumsum(w * d, axis=1)[:, -1] / z
+    rel = _level_sum(w * d) / z
     log_z = np.log(z)
     entropy = np.clip(log_z + t * rel, 0.0, h.log_dim)
     log_z -= finite_b * ref
@@ -155,13 +174,21 @@ def _curve_step(h: HamiltonianSpec, beta1: float, beta2: float) -> tuple[float, 
     return s1 - s2, (ref1 - ref2) + (rel1 - rel2) * h.unit
 
 
+def _variance(weights, rel: float, z: float) -> float:
+    """Var/unit^2 from the scalar kernel's (w_i, d_i) pairs, centred on
+    ``rel`` and added in level order."""
+    var = 0.0
+    for w, d in weights:
+        var += w * (d - rel) ** 2
+    return var / z
+
+
 def _moments(h: HamiltonianSpec, t: float) -> tuple[float, float, float]:
     """Scalar ((E - ref)/unit, S - log g_ref, Var/unit^2) at finite t, the
     fast path of the inverse solvers: both gaps are sums of like-signed terms
     and keep full relative precision near the plateau; Var is centred."""
     _, g_ref, rest, rel, weights = _shifted_weights(h, t)
-    var = sum(w * (d - rel) ** 2 for w, d in weights) / (g_ref + rest)
-    return rel, math.log1p(rest / g_ref) + t * rel, var
+    return rel, math.log1p(rest / g_ref) + t * rel, _variance(weights, rel, g_ref + rest)
 
 
 def _fold_solve(h: HamiltonianSpec, sign: float, gap, target: float, start) -> float:

@@ -579,6 +579,9 @@ class TestErrorMapping:
               "--macro", '{"E":0.5,"S":0.1}'], "bad-number"),
             (["curve", "--hamiltonian", '{"levels":[{"energy":0,"degeneracy":1e20},{"energy":1,"degeneracy":1}]}',
               "--beta-min", "0", "--beta-max", "1", "--samples", "2"], "bad-level"),
+            (["curve", "--hamiltonian",
+              '{"levels":[{"energy":0,"degeneracy":9007199254740993},{"energy":1,"degeneracy":1}]}',
+              "--beta-min", "0", "--beta-max", "1", "--samples", "2"], "bad-level"),
             (["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--ancilla-bits", "20000"],
              "bad-ancilla-bits"),
             (["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--ancilla-bits", "60",
@@ -587,8 +590,8 @@ class TestErrorMapping:
             (_dilate('{"matrix":[[[-0.5,0],[0,0]],[[0,0],[1.5,0]]]}'), "negative-eigenvalue"),
             (_dilate('{"matrix":[[[0.5,0],[0.5,0]],[[0,0],[0.5,0]]]}'), "not-hermitian"),
         ],
-        ids=["levels", "distribution", "degeneracy", "huge-degeneracy", "huge-ancilla-bits", "huge-cap",
-             "dilate-bad-trace", "dilate-negative-rho", "dilate-non-hermitian"],
+        ids=["levels", "distribution", "degeneracy", "huge-degeneracy", "degeneracy-2**53+1", "huge-ancilla-bits",
+             "huge-cap", "dilate-bad-trace", "dilate-negative-rho", "dilate-non-hermitian"],
     )
     def test_refused_input_exits_2(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)

@@ -47,6 +47,13 @@ class TestHamiltonianSpec:
         for bad in (math.nan, math.inf, "two"):
             with pytest.raises(ValidationError):
                 HamiltonianSpec(((0.0, bad), (1.0, 1)))
+        # an integer is checked exactly: through a float, 2**53 + 1 would read as 2**53
+        assert HamiltonianSpec(((0.0, 2**53), (1.0, np.int64(3)))).levels == ((0.0, 2**53), (1.0, 3))
+        assert HamiltonianSpec(((0.0, "2"), (1.0, "3.0"))).levels == ((0.0, 2), (1.0, 3))
+        for bad in (2**53 + 1, np.int64(2**53 + 1), str(2**53 + 1), 0, np.int64(-2), "1.5"):
+            with pytest.raises(ValidationError) as err:
+                HamiltonianSpec(((0.0, bad), (1.0, 1)))
+            assert err.value.code == "bad-level"
 
     def test_non_numeric_level_json(self):
         for level in ('{"energy": "x"}', '{"energy": 0, "degeneracy": [2]}', '{"energy": 0, "degeneracy": 1.5}'):
@@ -132,6 +139,42 @@ class TestConstruction:
             with pytest.raises(ValidationError) as err:
                 QuantumState.from_matrix(matrix)
             assert err.value.code == code
+
+
+class TestStateEquality:
+    def test_equal_values_compare_equal_and_hash_alike(self):
+        pairs = [
+            (QuantumState.from_matrix(np.eye(2) / 2), QuantumState.from_matrix(np.eye(2) / 2)),
+            (QuantumState.from_matrix(np.array([[0.5, 0.0], [0.0, 0.5]]), n=2.0),
+             QuantumState.from_matrix(np.array([[0.5, -0.0], [-0.0, 0.5]]), n=2.0)),
+            (QuantumState.from_spectrum([0.25, 0.75], 0.5), QuantumState.from_spectrum([0.25, 0.75], 0.5)),
+            (QuantumState.from_macro(0.5, 0.3, n=3.0), QuantumState.from_macro(0.5, 0.3, n=3.0)),
+        ]
+        for a, b in pairs:
+            assert (a == b) is True and (a != b) is False
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_different_values_compare_unequal(self):
+        rho = QuantumState.from_matrix(np.diag([0.25, 0.75]))
+        others = [
+            QuantumState.from_matrix(np.diag([0.75, 0.25])),
+            QuantumState.from_matrix(np.diag([0.25, 0.75]), n=2.0),
+            QuantumState.from_matrix(np.diag([0.25, 0.25, 0.5])),
+            QuantumState.from_spectrum(rho.spectrum, 0.75),
+            QuantumState.from_spectrum([0.25, 0.75], 0.7),
+            QuantumState.from_macro(0.75, 0.5),
+        ]
+        for i, a in enumerate([rho, *others]):
+            for b in others[i:]:
+                assert (a == b) is False and (a != b) is True
+        assert (rho == "rho") is False
+
+    def test_matrix_reduced_to_spectral_form_is_another_value(self, qubit):
+        rho = QuantumState.from_matrix(np.diag([0.25, 0.75]))
+        spectral = validate_state(rho, qubit)
+        assert spectral != rho
+        assert spectral == QuantumState.from_spectrum([0.25, 0.75], 0.75)
 
 
 class TestMacrostate:
