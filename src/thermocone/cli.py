@@ -3,10 +3,12 @@
 One binary, subcommand style; all physical quantities are unit-agnostic
 (energies in user units, beta in inverse user units, entropy in nats
 except the protocol family, which reports bits). Inputs are JSON (inline
-or a file path), outputs are JSON or CSV. Each float is rounded to 12
-significant digits and printed as the shortest text that reads back as
-the rounded value (``repr`` of it); non-finite values print as ``+inf``,
-``-inf`` and ``nan`` (strings in JSON). Repeat runs are byte-identical.
+or a file path), decoded and checked while the command line is parsed,
+in command-line order, so the first bad one is the one reported.
+Outputs are JSON or CSV. Each float is rounded to 12 significant digits
+and printed as the shortest text that reads back as the rounded value
+(``repr`` of it); non-finite values print as ``+inf``, ``-inf`` and
+``nan`` (strings in JSON). Repeat runs are byte-identical.
 
 Exit codes: 0 success, 1 domain error, 2 validation error / bad usage.
 """
@@ -140,31 +142,30 @@ def _load_json_arg(value: str):
             raise ValidationError("missing-file", f"cannot read {value}: {exc}") from exc
     try:
         return json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting past the interpreter's depth
         raise ValidationError("malformed-json", f"invalid JSON in {value!r}: {exc}") from exc
 
 
-def _hamiltonian(args):
-    return hamiltonian_from_json(_load_json_arg(args.hamiltonian))
+def _json(decode):
+    """An argparse ``type``: the option's JSON (inline or a file path), decoded by ``decode``.
+    A decoder must raise only ``ValidationError``, which argparse passes on to ``main``."""
+    return lambda value: decode(_load_json_arg(value))
 
 
-def _macro(value: str) -> Macrostate:
-    data = _load_json_arg(value)
+def _macro(data) -> Macrostate:
     try:
         return Macrostate(as_number(data["E"], "E"), as_number(data["S"], "S"))
     except (KeyError, TypeError) as exc:
         raise ValidationError("bad-macro-json", f"macrostate needs E and S: {exc}") from exc
 
 
-def _distribution(value: str) -> protocol.Distribution:
-    data = _load_json_arg(value)
+def _distribution(data) -> protocol.Distribution:
     if not isinstance(data, list):
         raise ValidationError("bad-distribution-json", "distribution must be a JSON array")
     return protocol.Distribution(tuple(as_number(x, "distribution entry") for x in data))
 
 
-def _level_set(value: str) -> sumsets.LevelSet:
-    data = _load_json_arg(value)
+def _level_set(data) -> sumsets.LevelSet:
     if not isinstance(data, list):
         raise ValidationError("bad-levels-json", "levels must be a JSON array")
     return sumsets.LevelSet(data)
@@ -186,167 +187,118 @@ def _record(result) -> dict[str, list]:
 
 
 def _cmd_curve(args) -> dict[str, list]:
-    h = _hamiltonian(args)
     if args.samples < 2:
         raise ValidationError("bad-samples", "need at least 2 samples")
-    points = thermal.thermal_points(h, np.linspace(args.beta_min, args.beta_max, args.samples))
+    points = thermal.thermal_points(args.hamiltonian, np.linspace(args.beta_min, args.beta_max, args.samples))
     return {key: column.tolist() for key, column in zip(_CURVE_COLUMNS, points)}
 
 
 def _cmd_member(args) -> dict[str, list]:
-    h = _hamiltonian(args)
-    verdict = diagram.diagram_contains(h, _macro(args.macro), tol=args.tol)
+    verdict = diagram.diagram_contains(args.hamiltonian, args.macro, tol=args.tol)
     return _row({"member": verdict.is_member, "verdict": verdict.value})
 
 
-def _cmd_wmax(args) -> dict[str, list]:
-    h = _hamiltonian(args)
-    state = state_from_json(_load_json_arg(args.rho))
-    return _row({"w_max": diagram.w_max(h, state)})
-
-
-def _cmd_exchange(args) -> dict[str, list]:
-    h = _hamiltonian(args)
-    spec = exchange.ExchangeSpec(
-        hamiltonian=h,
-        rho=state_from_json(_load_json_arg(args.rho)),
-        sigma=state_from_json(_load_json_arg(args.sigma)),
-        beta1=args.beta1,
-        beta2=args.beta2,
-    )
-    return _record(exchange.work_heat(spec))
-
-
-def _cmd_engine(args) -> dict[str, list]:
-    h = _hamiltonian(args)
-    res = exchange.engine_efficiencies(h, args.beta_cold, args.beta_less_cold, args.beta_less_hot, args.beta_hot)
-    return _record(res)
-
-
 def _cmd_rate(args) -> dict[str, list]:
-    h = _hamiltonian(args)
-    y_rho = cone_point_of(state_from_json(_load_json_arg(args.rho)), h)
-    y_sigma = cone_point_of(state_from_json(_load_json_arg(args.sigma)), h)
-    return _record(cone.r_max(h, y_rho, y_sigma, tol=args.tol))
-
-
-def _cmd_decompose(args) -> dict[str, list]:
-    h = _hamiltonian(args)
-    return _record(diagram.decompose(h, _macro(args.macro), args.beta))
-
-
-def _cmd_protocol(args) -> dict[str, list]:
-    report = protocol.run_entropy_protocol(
-        _distribution(args.p),
-        _distribution(args.q),
-        args.n,
-        ancilla_bits=args.ancilla_bits,
-        outcome_cap=args.cap,
-    )
-    return _row(report.to_json())
+    h = args.hamiltonian
+    return _record(cone.r_max(h, cone_point_of(args.rho, h), cone_point_of(args.sigma, h), tol=args.tol))
 
 
 def _cmd_coarse(args) -> dict[str, list]:
-    result = protocol.build_coarse_graining(_distribution(args.p), _distribution(args.q))
+    result = protocol.build_coarse_graining(args.p, args.q)
     return {**_record(result), "max_fiber": [max(result.fiber_sizes)]}
-
-
-def _cmd_sumset(args) -> dict[str, list]:
-    return _record(sumsets.find_doubling_k(_level_set(args.levels), args.delta, args.k_max)[2])
-
-
-def _cmd_dilate(args) -> dict[str, list]:
-    h = _hamiltonian(args)
-    report = build_energy_preserving_dilation(
-        h,
-        complex_matrix(_load_json_arg(args.unitary), "bad-matrix-json"),
-        state_from_json(_load_json_arg(args.rho)),
-        state_from_json(_load_json_arg(args.sigma)),
-        _level_set(args.m_levels),
-        args.delta,
-    )
-    return _record(report)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="thermocone", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    state, macro = _json(state_from_json), _json(_macro)
+    distribution, level_set = _json(_distribution), _json(_level_set)
+    unitary = _json(functools.partial(complex_matrix, code="bad-matrix-json"))
 
-    def command(name, func, summary, hamiltonian=True):
+    def command(name, summary, func, hamiltonian=True):
+        """A subcommand whose ``func`` maps the parsed arguments, JSON already decoded, to its output table."""
         p = sub.add_parser(name, help=summary)
         if hamiltonian:
-            p.add_argument("--hamiltonian", required=True, help="Hamiltonian JSON (inline or file)")
+            p.add_argument("--hamiltonian", required=True, type=_json(hamiltonian_from_json),
+                           help="Hamiltonian JSON (inline or file)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])
         p.set_defaults(func=func, columns=None)
         return p
 
-    p = command("curve", _cmd_curve, "sample the thermal curve")
+    p = command("curve", "sample the thermal curve", _cmd_curve)
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--samples", type=int, default=101)
     p.set_defaults(columns=_CURVE_COLUMNS)
 
-    p = command("member", _cmd_member, "energy-entropy diagram membership")
-    p.add_argument("--macro", required=True, help='macrostate JSON {"E":..,"S":..}')
+    p = command("member", "energy-entropy diagram membership", _cmd_member)
+    p.add_argument("--macro", required=True, type=macro, help='macrostate JSON {"E":..,"S":..}')
     p.add_argument("--tol", type=float, default=diagram.DEFAULT_BOUNDARY_TOL,
                    help="boundary tolerance: a fraction of the span E_max - E_min on energy, nats on entropy")
 
-    p = command("wmax", _cmd_wmax, "maximal extractable work per copy")
-    p.add_argument("--rho", required=True, help="state JSON")
+    p = command("wmax", "maximal extractable work per copy",
+                lambda a: _row({"w_max": diagram.w_max(a.hamiltonian, a.rho)}))
+    p.add_argument("--rho", required=True, type=state, help="state JSON")
 
-    p = command("exchange", _cmd_exchange, "finite-reservoir work and heat")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma", required=True)
+    p = command("exchange", "finite-reservoir work and heat", lambda a: _record(
+        exchange.work_heat(exchange.ExchangeSpec(a.hamiltonian, a.rho, a.sigma, a.beta1, a.beta2))))
+    p.add_argument("--rho", required=True, type=state)
+    p.add_argument("--sigma", required=True, type=state)
     p.add_argument("--beta1", type=float, required=True)
     p.add_argument("--beta2", type=float, required=True)
 
-    p = command("engine", _cmd_engine, "finite-reservoir engine efficiencies")
+    p = command("engine", "finite-reservoir engine efficiencies", lambda a: _record(
+        exchange.engine_efficiencies(a.hamiltonian, a.beta_cold, a.beta_less_cold, a.beta_less_hot, a.beta_hot)))
     p.add_argument("--beta-cold", type=float, required=True)
     p.add_argument("--beta-less-cold", type=float, required=True)
     p.add_argument("--beta-less-hot", type=float, required=True)
     p.add_argument("--beta-hot", type=float, required=True)
 
-    p = command("rate", _cmd_rate, "maximal conversion rate, both algorithms")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma", required=True)
+    p = command("rate", "maximal conversion rate, both algorithms", _cmd_rate)
+    p.add_argument("--rho", required=True, type=state)
+    p.add_argument("--sigma", required=True, type=state)
     p.add_argument("--tol", type=float, default=1e-8,
                    help="relative stopping width of the boundary Newton solve (rate_bisect); rates are unit-free")
 
-    p = command("decompose", _cmd_decompose, "split a macrostate over {thermal, ground, top}")
-    p.add_argument("--macro", required=True)
+    p = command("decompose", "split a macrostate over {thermal, ground, top}",
+                lambda a: _record(diagram.decompose(a.hamiltonian, a.macro, a.beta)))
+    p.add_argument("--macro", required=True, type=macro)
     p.add_argument("--beta", type=float, required=True)
 
-    p = command("protocol", _cmd_protocol, "run the classical entropy-conversion protocol", hamiltonian=False)
-    p.add_argument("--p", required=True, help="source distribution JSON array")
-    p.add_argument("--q", required=True, help="target distribution JSON array")
+    p = command("protocol", "run the classical entropy-conversion protocol", lambda a: _row(
+        protocol.run_entropy_protocol(a.p, a.q, a.n, a.ancilla_bits, outcome_cap=a.cap).to_json()), hamiltonian=False)
+    p.add_argument("--p", required=True, type=distribution, help="source distribution JSON array")
+    p.add_argument("--q", required=True, type=distribution, help="target distribution JSON array")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ancilla-bits", type=int, default=None)
     p.add_argument("--cap", type=int, default=protocol.DEFAULT_OUTCOME_CAP)
 
-    p = command("coarse", _cmd_coarse, "greedy coarse-graining map with bounds", hamiltonian=False)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
+    p = command("coarse", "greedy coarse-graining map with bounds", _cmd_coarse, hamiltonian=False)
+    p.add_argument("--p", required=True, type=distribution)
+    p.add_argument("--q", required=True, type=distribution)
 
-    p = command("sumset", _cmd_sumset, "find k with slow sumset growth", hamiltonian=False)
-    p.add_argument("--levels", required=True, help='JSON array (numbers or "a/b" strings)')
+    p = command("sumset", "find k with slow sumset growth",
+                lambda a: _record(sumsets.find_doubling_k(a.levels, a.delta, a.k_max)[2]), hamiltonian=False)
+    p.add_argument("--levels", required=True, type=level_set, help='JSON array (numbers or "a/b" strings)')
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--k-max", type=int, default=128)
 
-    p = command("dilate", _cmd_dilate, "energy-preserving dilation of a unitary")
-    p.add_argument("--unitary", required=True, help="matrix JSON of [re, im] pairs")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--m-levels", required=True, help="ancilla base level set JSON array")
+    p = command("dilate", "energy-preserving dilation of a unitary", lambda a: _record(
+        build_energy_preserving_dilation(a.hamiltonian, a.unitary, a.rho, a.sigma, a.m_levels, a.delta)))
+    p.add_argument("--unitary", required=True, type=unitary, help="matrix JSON of [re, im] pairs")
+    p.add_argument("--rho", required=True, type=state)
+    p.add_argument("--sigma", required=True, type=state)
+    p.add_argument("--m-levels", required=True, type=level_set, help="ancilla base level set JSON array")
     p.add_argument("--delta", type=float, required=True)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         emit(args.func(args), args.format, args.out, columns=args.columns)
     except ThermoconeError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")

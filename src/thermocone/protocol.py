@@ -11,7 +11,6 @@ Distances between distributions are total variation (half the l1 sum).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,10 +37,9 @@ DEFAULT_TYPE_CLASS_CAP = 200_000
 
 @dataclass(frozen=True)
 class Distribution:
-    """A finite probability vector, optionally labeled."""
+    """A finite probability vector."""
 
     probabilities: tuple[float, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if not self.probabilities:
@@ -55,8 +53,6 @@ class Distribution:
         if abs(total - 1.0) > 1e-12:
             raise ValidationError("bad-normalization", f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probabilities", probs)
-        if self.labels is not None and len(self.labels) != len(probs):
-            raise ValidationError("bad-labels", "labels must match the number of outcomes")
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -248,10 +244,9 @@ def _multinomial(n: int, counts: Sequence[int]) -> int:
     return out
 
 
-def typical_set(
-    p: Distribution, n: int, max_type_classes: int = DEFAULT_TYPE_CLASS_CAP
-) -> TypicalSet:
-    """Enumerate the strongly typical type classes of p^(x)n exactly."""
+def typical_set(p: Distribution, n: int) -> TypicalSet:
+    """Enumerate the strongly typical type classes of p^(x)n exactly, at
+    most ``DEFAULT_TYPE_CLASS_CAP`` of them."""
     if n < 1:
         raise ValidationError("bad-copy-count", "n must be >= 1")
     probs = p.probabilities
@@ -273,11 +268,11 @@ def typical_set(
     counts = [0] * len(probs)
 
     def walk(sym: int, left: int):
-        if len(classes) > max_type_classes:
-            raise DomainError("type-class-cap", f"more than {max_type_classes} type classes")
         if sym == len(probs) - 1:
             lo, hi = ranges[sym]
             if lo <= left <= hi:
+                if len(classes) == DEFAULT_TYPE_CLASS_CAP:
+                    raise DomainError("type-class-cap", f"more than {DEFAULT_TYPE_CLASS_CAP} type classes")
                 counts[sym] = left
                 prob = math.prod(x**c for x, c in zip(probs, counts) if c)
                 classes.append(TypeClass(tuple(counts), _multinomial(n, counts), prob))
@@ -373,9 +368,7 @@ def run_entropy_protocol(
     q: Distribution,
     n: int,
     ancilla_bits: Optional[int] = None,
-    entropy_tol: float = 1e-6,
     outcome_cap: int = DEFAULT_OUTCOME_CAP,
-    max_type_classes: int = DEFAULT_TYPE_CLASS_CAP,
 ) -> ProtocolReport:
     """Convert p^(x)n toward q^(x)n classically and report the distance.
 
@@ -389,17 +382,14 @@ def run_entropy_protocol(
     if outcome_cap >= 2**63:  # the greedy counts items in int64
         raise ValidationError("bad-outcome-cap", "outcome cap must be below 2**63")
     gap = abs(p.shannon_bits() - q.shannon_bits())
-    if gap > entropy_tol:
+    if gap > 1e-6:
         raise DomainError(
             "entropy-mismatch",
-            f"entropies differ by {gap:.3g} bits (> {entropy_tol:.3g}); "
-            "the protocol only converts equal-entropy sources",
+            f"entropies differ by {gap:.3g} bits (> 1e-06); the protocol only converts equal-entropy sources",
         )
-    if gap > 1e-6:
-        warnings.warn(f"source/target entropies differ by {gap:.3g} bits", stacklevel=2)
 
-    tp = typical_set(p, n, max_type_classes)
-    tq = typical_set(q, n, max_type_classes)
+    tp = typical_set(p, n)
+    tq = typical_set(q, n)
     k = default_ancilla_bits(p, n) if ancilla_bits is None else int(ancilla_bits)
     if not 0 <= k < 63:  # 2**63 items would pass any cap
         raise ValidationError("bad-ancilla-bits", f"ancilla_bits must be in [0, 62], got {k}")

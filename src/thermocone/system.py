@@ -39,13 +39,14 @@ __all__ = [
 
 
 def as_number(value, field: str) -> float:
-    """``float(value)``; a non-number (say, a decoded JSON string or
-    boolean) raises ``ValidationError``."""
+    """``float(value)``, so a string that spells a number, such as ``"2"``
+    or ``" 1e0 "``, is read as one; a boolean, any other string, an
+    integer past the float range or a non-number raises ``ValidationError``."""
     try:
         if isinstance(value, bool):
             raise TypeError("a boolean is not a number")
         return float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("bad-number", f"{field} must be a number, got {value!r}") from exc
 
 
@@ -53,7 +54,7 @@ def complex_matrix(rows, code: str) -> np.ndarray:
     """Decode nested ``[re, im]`` pairs; a malformed entry raises ``ValidationError(code)``."""
     try:
         return np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    except (TypeError, IndexError) as exc:
+    except (TypeError, LookupError, ValueError) as exc:  # ValueError: ragged rows
         raise ValidationError(code, f"matrix entries must be [re, im] pairs: {exc}") from exc
 
 
@@ -338,10 +339,19 @@ def cone_point_of(state: QuantumState, h: HamiltonianSpec) -> ConePoint:
     return ConePoint(state.n * x.energy, state.n * x.entropy, state.n)
 
 
+def _parsed(data):
+    """``data``, or the JSON it spells when it is a string."""
+    if not isinstance(data, str):
+        return data
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError("malformed-json", f"invalid JSON: {exc}") from exc
+
+
 def hamiltonian_from_json(data) -> HamiltonianSpec:
-    """Decode ``{"levels": [{"energy": E, "degeneracy": g}, ...]}``."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    """Decode ``{"levels": [{"energy": E, "degeneracy": g}, ...]}``, or the JSON text of it."""
+    data = _parsed(data)
     try:
         levels = tuple((lvl["energy"], lvl.get("degeneracy", 1)) for lvl in data["levels"])
     except (KeyError, TypeError) as exc:
@@ -350,14 +360,13 @@ def hamiltonian_from_json(data) -> HamiltonianSpec:
 
 
 def state_from_json(data) -> QuantumState:
-    """Decode a state object.
+    """Decode a state object, or the JSON text of one.
 
     Accepted forms: ``{"matrix": [[[re, im], ...], ...]}``,
     ``{"spectrum": [...], "energy": E}`` or ``{"macro": {"E": .., "S": ..}}``,
     each optionally with ``{"n": amount}``.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _parsed(data)
     if not isinstance(data, dict):
         raise ValidationError("bad-state-json", "state must be a JSON object")
     n = as_number(data.get("n", 1.0), "n")

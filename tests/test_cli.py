@@ -589,9 +589,16 @@ class TestErrorMapping:
             (_dilate('{"matrix":[[[0.6,0],[0,0]],[[0,0],[0.6,0]]]}'), "bad-trace"),
             (_dilate('{"matrix":[[[-0.5,0],[0,0]],[[0,0],[1.5,0]]]}'), "negative-eigenvalue"),
             (_dilate('{"matrix":[[[0.5,0],[0.5,0]],[[0,0],[0.5,0]]]}'), "not-hermitian"),
+            (["wmax", "--hamiltonian", QUBIT, "--rho", '{"matrix":[[[1,0]],[[0,0],[1,0]]]}'], "bad-state-json"),
+            (["dilate", "--hamiltonian", QUBIT, "--unitary", "[[[1,0]],[[0,0],[1,0]]]", *_dilate("{}")[5:]],
+             "bad-matrix-json"),
+            (["dilate", "--hamiltonian", QUBIT, "--unitary", "[[{}]]", *_dilate("{}")[5:]], "bad-matrix-json"),
+            (["member", "--hamiltonian", QUBIT, "--macro", "[" * 5000], "malformed-json"),
+            (["coarse", "--p", "[%d]" % 10**400, "--q", "[1]"], "bad-number"),
         ],
         ids=["levels", "distribution", "degeneracy", "huge-degeneracy", "degeneracy-2**53+1", "huge-ancilla-bits",
-             "huge-cap", "dilate-bad-trace", "dilate-negative-rho", "dilate-non-hermitian"],
+             "huge-cap", "dilate-bad-trace", "dilate-negative-rho", "dilate-non-hermitian", "ragged-matrix",
+             "ragged-unitary", "object-entry-unitary", "deep-nesting", "huge-integer"],
     )
     def test_refused_input_exits_2(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
@@ -642,6 +649,75 @@ class TestErrorMapping:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# one valid call per subcommand; every JSON option is replaced in turn below
+VALID_CALLS = {
+    "curve": ["--hamiltonian", QUBIT, "--beta-min", "0", "--beta-max", "1", "--samples", "2"],
+    "member": ["--hamiltonian", QUBIT, "--macro", '{"E":0.5,"S":0.2}'],
+    "wmax": ["--hamiltonian", QUBIT, "--rho", '{"spectrum":[0.25,0.75],"energy":0.75}'],
+    "exchange": ["--hamiltonian", QUBIT, "--rho", '{"spectrum":[0.75,0.25],"energy":0.25}',
+                 "--sigma", '{"spectrum":[0.5,0.5],"energy":0.5}', "--beta1", "1", "--beta2", "2"],
+    "engine": ["--hamiltonian", QUBIT, "--beta-cold", "2", "--beta-less-cold", "1.5", "--beta-less-hot", "1",
+               "--beta-hot", "0.5"],
+    "rate": ["--hamiltonian", QUBIT, "--rho", '{"macro":{"E":0.5,"S":0.2}}', "--sigma", '{"macro":{"E":0.5,"S":0}}'],
+    "decompose": ["--hamiltonian", QUBIT, "--macro", '{"E":0.5,"S":0.4}', "--beta", "0"],
+    "protocol": ["--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "4", "--ancilla-bits", "2"],
+    "coarse": ["--p", "[0.25,0.25,0.25,0.25]", "--q", "[0.5,0.5]"],
+    "sumset": ["--levels", '[0,1,"5/2"]', "--delta", "0.2", "--k-max", "64"],
+    "dilate": _dilate('{"matrix":[[[0,0],[0,0]],[[0,0],[1,0]]]}')[1:],
+}
+# a well-formed JSON value of the wrong shape for each option, and its error code
+WRONG_SHAPE = {
+    "--hamiltonian": ("[]", "bad-hamiltonian-json"),
+    "--rho": ("[]", "bad-state-json"),
+    "--sigma": ("[]", "bad-state-json"),
+    "--macro": ("[]", "bad-macro-json"),
+    "--p": ("{}", "bad-distribution-json"),
+    "--q": ("{}", "bad-distribution-json"),
+    "--levels": ("{}", "bad-levels-json"),
+    "--m-levels": ("{}", "bad-levels-json"),
+    "--unitary": ("[[1]]", "bad-matrix-json"),
+}
+JSON_OPTIONS = [(cmd, opt) for cmd, argv in VALID_CALLS.items() for opt in argv if opt in WRONG_SHAPE]
+
+
+class TestJsonOptions:
+    def expect_error(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == error
+
+    def test_every_option_is_covered(self):
+        assert {opt for _, opt in JSON_OPTIONS} == set(WRONG_SHAPE)
+        assert len(JSON_OPTIONS) == 24
+
+    @pytest.mark.parametrize("cmd", VALID_CALLS)
+    def test_valid_calls_exit_0(self, capsys, cmd):
+        code, out, err = run_cli(capsys, cmd, *VALID_CALLS[cmd])
+        assert code == 0 and out and err == ""
+
+    @pytest.mark.parametrize("cmd, option", JSON_OPTIONS, ids=[f"{c}{o}" for c, o in JSON_OPTIONS])
+    @pytest.mark.parametrize("bad", ["malformed", "wrong-shape"])
+    def test_malformed_value_exits_2(self, capsys, cmd, option, bad):
+        argv = [cmd, *VALID_CALLS[cmd]]
+        value, error = ("{not json", "malformed-json") if bad == "malformed" else WRONG_SHAPE[option]
+        argv[argv.index(option) + 1] = value
+        self.expect_error(capsys, argv, error)
+
+    def test_json_string_in_a_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "text.json"
+        path.write_text('"abc"')
+        self.expect_error(capsys, ["wmax", "--hamiltonian", str(path), "--rho", '{"macro":{"E":0.5,"S":0.2}}'],
+                          "malformed-json")
+
+    def test_first_bad_option_on_the_command_line_is_reported(self, capsys):
+        rho, hamiltonian = ("--rho", "{not json"), ("--hamiltonian", "[]")
+        self.expect_error(capsys, ["wmax", *rho, *hamiltonian], "malformed-json")
+        self.expect_error(capsys, ["wmax", *hamiltonian, *rho], "bad-hamiltonian-json")
+        # a bad JSON value comes before a missing required option
+        self.expect_error(capsys, ["wmax", *rho], "malformed-json")
 
 
 class TestConsoleEntryPoint:

@@ -236,6 +236,19 @@ class TestTypicalSet:
         assert ts.h_0 >= ts.h_inf >= base * (1 - spread)
         assert ts.h_0 <= ts.h_neg_inf <= base * (1 + spread)
 
+    def test_type_class_cap(self, monkeypatch):
+        p = Distribution((0.5, 0.5))
+        assert len(typical_set(p, 12).type_classes) == 5
+        monkeypatch.setattr(protocol, "DEFAULT_TYPE_CLASS_CAP", 5)
+        assert len(typical_set(p, 12).type_classes) == 5
+        monkeypatch.setattr(protocol, "DEFAULT_TYPE_CLASS_CAP", 4)
+        with pytest.raises(DomainError) as err:
+            typical_set(p, 12)
+        assert err.value.code == "type-class-cap"
+        with pytest.raises(DomainError) as err:
+            run_entropy_protocol(p, p, 12, ancilla_bits=2)
+        assert err.value.code == "type-class-cap"
+
     def test_empty_window_raises(self):
         with pytest.raises(DomainError) as err:
             typical_set(Distribution((0.6, 0.3, 0.1)), 6)
@@ -289,8 +302,15 @@ class TestEntropyProtocol:
         assert rep.map_distance == pytest.approx(7.971938775508433e-05, rel=1e-12, abs=0.0)
 
     def test_entropy_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            run_entropy_protocol(Distribution((0.7, 0.3)), Distribution((0.5, 0.5)), 6)
+        p = Distribution((0.7, 0.3))
+        with pytest.raises(DomainError) as err:
+            run_entropy_protocol(p, Distribution((0.5, 0.5)), 6)
+        assert err.value.code == "entropy-mismatch"
+        # H(0.3 + e, 0.7 - e) - H(0.3, 0.7) is about log2(7/3) * e bits; the protocol allows 1e-6
+        assert run_entropy_protocol(p, Distribution((0.3 + 1e-7, 0.7 - 1e-7)), 4, ancilla_bits=2).n == 4
+        with pytest.raises(DomainError) as err:
+            run_entropy_protocol(p, Distribution((0.3 + 1e-5, 0.7 - 1e-5)), 4, ancilla_bits=2)
+        assert err.value.code == "entropy-mismatch"
 
     def test_cap_enforced(self):
         p = Distribution((0.5, 0.5))

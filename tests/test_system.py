@@ -60,6 +60,19 @@ class TestHamiltonianSpec:
             with pytest.raises(ValidationError):
                 hamiltonian_from_json('{"levels": [%s, {"energy": 1}]}' % level)
 
+    def test_numeric_string_energy_decodes(self):
+        h = hamiltonian_from_json('{"levels": [{"energy": "0"}, {"energy": " 1e0 ", "degeneracy": "2"}]}')
+        assert h.levels == ((0.0, 1), (1.0, 2))
+        with pytest.raises(ValidationError) as err:
+            hamiltonian_from_json('{"levels": [{"energy": "x"}, {"energy": 1}]}')
+        assert err.value.code == "bad-number"
+
+    def test_malformed_json_text(self):
+        for decode in (hamiltonian_from_json, state_from_json):
+            with pytest.raises(ValidationError) as err:
+                decode("abc")
+            assert err.value.code == "malformed-json"
+
     def test_json_round_trip(self):
         h = HamiltonianSpec(((0.0, 1), (1.0, 2)))
         assert hamiltonian_from_json(json.dumps(h.to_json())) == h
