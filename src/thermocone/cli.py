@@ -21,7 +21,7 @@ import functools
 import itertools
 import json
 import sys
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -95,39 +95,78 @@ def _csv_value(value, quote) -> str:
     return quote(value)
 
 
-def emit(table: Mapping[str, Sequence], fmt: str, path: Optional[str], columns: Optional[Sequence[str]] = None) -> str:
-    """Serialize a table, given as equal-length columns by key.
+def _row_count(table: Mapping[str, Sequence]) -> int:
+    return len(next(iter(table.values()), ()))
 
-    JSON: keys sorted, two-space indent; a one-row table prints as one
-    object, any other as an array of objects. CSV: a header row of
-    ``columns`` (sorted keys by default), then one line per row. Each
-    float is printed once, to 12 significant digits (see ``_numbers``).
-    Returns the text; writes it to ``path`` when given, stdout otherwise.
+
+def _pieces(tables, fmt: str, keys: Sequence[str], rows: int):
+    """The output text, one piece per table, each laid out column by
+    column; ``rows`` need only tell no row, one row and more."""
+    if fmt == "csv":
+        yield ",".join(keys)
+        for table in tables:
+            yield "\n" + "\n".join(map(",".join, zip(*(_csv_values(table[k]) for k in keys))))
+        yield "\n"
+        return
+    if not rows:
+        yield "[]\n"
+        return
+    indent, lead, tail = ("", "", "\n") if rows == 1 else ("  ", "[\n", "\n]\n")
+    # each row fills one %s template
+    fields = ",\n".join(f"{indent}  {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+    template = f"{indent}{{\n{fields}\n{indent}}}"
+    for table in tables:
+        yield lead + ",\n".join(map(template.__mod__, zip(*(_json_values(table[k], indent + "  ") for k in keys))))
+        lead = ",\n"
+    yield tail
+
+
+def _write(write, pieces) -> str:
+    """Write each piece as soon as it is made; return them as one text."""
+    texts = []
+    for piece in pieces:
+        write(piece)
+        texts.append(piece)
+    return "".join(texts)
+
+
+def emit(
+    tables: Mapping[str, Sequence] | Iterable[Mapping[str, Sequence]],
+    fmt: str,
+    path: Optional[str],
+    columns: Optional[Sequence[str]] = None,
+) -> str:
+    """Serialize one table, given as equal-length columns by key, or an
+    iterable of such tables with the same keys: the chunks of one table,
+    in row order.
+
+    JSON: keys sorted, two-space indent; an output of exactly one row
+    prints as one object, any other as an array of objects. CSV: a header
+    row of ``columns`` (sorted keys by default), then one line per row.
+    Each float is printed once, to 12 significant digits (see
+    ``_numbers``). Each chunk is formatted column by column and written,
+    to ``path`` when given and to stdout otherwise, before the next chunk
+    is read. Returns the whole text.
     """
     if fmt not in ("json", "csv"):
         raise ValidationError("bad-format", f"unknown output format {fmt!r}")
-    rows = len(next(iter(table.values()), ()))
-    keys = list(columns) if fmt == "csv" and columns else sorted(table)
-    # every cell in row order; the rows then fill one %s template
-    cells = list(itertools.chain.from_iterable(zip(*(table[k] for k in keys))))
-    if fmt == "json":
-        indent = "" if rows == 1 else "  "
-        fields = ",\n".join(f"{indent}  {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
-        body = ",\n".join([f"{indent}{{\n{fields}\n{indent}}}"] * rows) % tuple(_json_values(cells, indent + "  "))
-        text = body if rows == 1 else f"[\n{body}\n]" if rows else "[]"
-    else:
-        body = "\n".join([",".join(["%s"] * len(keys))] * rows) % tuple(_csv_values(cells))
-        text = ",".join(keys) + ("\n" + body if rows else "")
-    text += "\n"
-    if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValidationError("bad-output", f"cannot write {path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-    return text
+    chunks = iter((tables,) if isinstance(tables, Mapping) else tables)
+    # read ahead to the second row: JSON prints a lone row as an object
+    head, rows = [], 0
+    for table in chunks:
+        head.append(table)
+        rows += _row_count(table)
+        if rows > 1:
+            break
+    keys = list(columns) if fmt == "csv" and columns else sorted(head[0]) if head else []
+    pieces = _pieces(filter(_row_count, itertools.chain(head, chunks)), fmt, keys, rows)
+    if not path:
+        return _write(sys.stdout.write, pieces)
+    try:
+        with open(path, "w") as fh:
+            return _write(fh.write, pieces)
+    except OSError as exc:
+        raise ValidationError("bad-output", f"cannot write {path}: {exc}") from exc
 
 
 def _load_json_arg(value: str):
@@ -172,6 +211,8 @@ def _level_set(data) -> sumsets.LevelSet:
 
 
 _CURVE_COLUMNS = ("beta", "logZ", "E", "S")
+_CHUNK = 8192  # curve rows computed, formatted and written at a time
+_MAX_SAMPLES = 10**7  # curve's --samples bound; a sample prints as about 60 bytes of CSV or 110 of JSON
 # output keys that differ from the field names of the result dataclasses
 _RENAMES = {"work": "W", "heat": "Q", "q_hot": "Q_hot", "q_cold": "Q_cold"}
 
@@ -186,11 +227,18 @@ def _record(result) -> dict[str, list]:
     return _row({_RENAMES.get(k, k): v for k, v in dataclasses.asdict(result).items()})
 
 
-def _cmd_curve(args) -> dict[str, list]:
-    if args.samples < 2:
-        raise ValidationError("bad-samples", "need at least 2 samples")
-    points = thermal.thermal_points(args.hamiltonian, np.linspace(args.beta_min, args.beta_max, args.samples))
-    return {key: column.tolist() for key, column in zip(_CURVE_COLUMNS, points)}
+def _cmd_curve(args):
+    """Check every argument, then return the sweep as a lazy stream of
+    tables of at most ``_CHUNK`` rows; the betas are spaced once, so no
+    row depends on the chunk size."""
+    if not 2 <= args.samples <= _MAX_SAMPLES:
+        raise ValidationError("bad-samples", f"need 2 to {_MAX_SAMPLES} samples")
+    lo, hi = args.beta_min, args.beta_max
+    if not np.isfinite((lo, hi, hi - lo)).all():
+        raise ValidationError("bad-beta", "--beta-min, --beta-max and their difference must be finite")
+    betas = np.linspace(lo, hi, args.samples)
+    chunks = (thermal.thermal_points(args.hamiltonian, betas[i:i + _CHUNK]) for i in range(0, args.samples, _CHUNK))
+    return ({key: column.tolist() for key, column in zip(_CURVE_COLUMNS, points)} for points in chunks)
 
 
 def _cmd_member(args) -> dict[str, list]:
@@ -230,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("curve", "sample the thermal curve", _cmd_curve)
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
-    p.add_argument("--samples", type=int, default=101)
+    p.add_argument("--samples", type=int, default=101, help=f"2 to {_MAX_SAMPLES} (default 101)")
     p.set_defaults(columns=_CURVE_COLUMNS)
 
     p = command("member", "energy-entropy diagram membership", _cmd_member)

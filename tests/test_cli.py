@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
-from thermocone import beta_cap, cli, thermal_point, thermal_points
+from thermocone import beta_cap, cli, hamiltonian_from_json, thermal_point, thermal_points
 from thermocone.cli import main
 
 QUBIT = '{"levels":[{"energy":0.0,"degeneracy":1},{"energy":1.0,"degeneracy":1}]}'
@@ -155,6 +157,78 @@ class TestCurve:
         )
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "bad-output"
+
+    @pytest.mark.parametrize(
+        "beta_min, beta_max",
+        [("-1.7e308", "1.7e308"), ("-inf", "inf"), ("-inf", "0"), ("1", "inf"), ("inf", "inf")],
+    )
+    def test_non_finite_beta_range_exits_2(self, capsys, qubit_file, beta_min, beta_max):
+        # refused before the betas are spaced: numpy would warn on the overflow first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "curve", "--hamiltonian", qubit_file, f"--beta-min={beta_min}",
+                                     f"--beta-max={beta_max}", "--samples", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "bad-beta"
+
+    @pytest.mark.parametrize("samples", [-1, 1, cli._MAX_SAMPLES + 1, 10**15])
+    def test_sample_count_out_of_range_exits_2(self, capsys, qubit_file, samples):
+        code, out, err = run_cli(
+            capsys, "curve", "--hamiltonian", qubit_file, "--beta-min", "-1", "--beta-max", "1", "--samples", str(samples)
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "bad-samples"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [(["--samples", "1"], "bad-samples"), (["--samples", str(10**15)], "bad-samples"),
+         (["--beta-min=-inf", "--samples", "3"], "bad-beta"), (["--beta-min", "nan"], "bad-beta")],
+    )
+    def test_refused_curve_writes_nothing(self, capsys, qubit_file, tmp_path, argv, error):
+        # every argument is checked before --out is opened
+        for out_path in (tmp_path / "curve.csv", tmp_path / "no_such_dir" / "curve.csv"):
+            code, out, err = run_cli(capsys, "curve", "--hamiltonian", qubit_file, "--beta-min", "-1",
+                                     "--beta-max", "1", *argv, "--out", str(out_path))
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == error
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli._CHUNK + 1], ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    def test_chunked_sweep_matches_unsplit_table(self, capsys, fmt, extra):
+        # both ends lie past H3's beta_cap (375), so chunks hold plateau rows too
+        samples = cli._CHUNK + extra
+        argv = ["curve", "--hamiltonian", H3, "--beta-min", "-410.7", "--beta-max", "390.1", "--samples", str(samples)]
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        points = thermal_points(hamiltonian_from_json(H3), np.linspace(-410.7, 390.1, samples))
+        table = {key: column.tolist() for key, column in zip(cli._CURVE_COLUMNS, points)}
+        # the chunks hold the unsplit rows bit for bit, not just to the printed digits
+        args = cli._build_parser().parse_args(argv)
+        chunks = list(args.func(args))
+        assert [len(chunk["beta"]) for chunk in chunks[:-1]] == [cli._CHUNK] * (len(chunks) - 1)
+        for key, column in zip(cli._CURVE_COLUMNS, points):
+            assert np.array([x for chunk in chunks for x in chunk[key]]).tobytes() == column.tobytes()
+        records = [dict(zip(table, row)) for row in zip(*table.values())]
+        assert out == _oracle_emit(records, fmt, cli._CURVE_COLUMNS)
+        assert cli.emit(table, fmt, os.devnull, columns=cli._CURVE_COLUMNS) == out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_follows_output_text(self, monkeypatch, fmt):
+        # written chunk by chunk, a sweep holds its text (twice, for emit's
+        # return) and one chunk at a time, not every row in several forms
+        lengths = []
+        emit = cli.emit
+        monkeypatch.setattr(cli, "emit", lambda *args, **kwargs: lengths.append(len(emit(*args, **kwargs))))
+        tracemalloc.start()
+        try:
+            code = main(["curve", "--hamiltonian", H3, "--beta-min", "-4", "--beta-max", "4", "--samples", "65536",
+                         "--format", fmt, "--out", os.devnull])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * lengths[0], peak / lengths[0]
 
     def test_single_point_json_has_four_keys(self, capsys, qubit_file):
         code, out, _ = run_cli(
@@ -441,6 +515,17 @@ class TestEmit:
     @given(record_lists(FLOATS, 40), st.sampled_from(["json", "csv"]))
     def test_float_columns_match_oracle(self, case, fmt):
         self.check(case[0], fmt, case[1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(record_lists(VALUES, 6), st.sampled_from(["json", "csv"]), st.lists(st.integers(0, 6), max_size=4))
+    def test_chunks_match_oracle(self, case, fmt, cuts):
+        # the records split into chunks at ``cuts``, some of them empty; a
+        # lone row in any chunk still prints as one JSON object
+        records, columns = case
+        keys = list(records[0]) if records else columns
+        bounds = [0, *sorted(cuts), len(records)]
+        chunks = (_table(records[a:b], keys) for a, b in zip(bounds, bounds[1:]))
+        assert cli.emit(chunks, fmt, os.devnull, columns=columns) == _oracle_emit(records, fmt, columns)
 
 
 class TestParser:
