@@ -8,7 +8,10 @@ in command-line order, so the first bad one is the one reported.
 Outputs are JSON or CSV. Each float is rounded to 12 significant digits
 and printed as the shortest text that reads back as the rounded value
 (``repr`` of it); non-finite values print as ``+inf``, ``-inf`` and
-``nan`` (strings in JSON). Repeat runs are byte-identical.
+``nan`` (strings in JSON). Repeat runs are byte-identical. A sweep's
+float64 columns go through an array kernel that prints every value as
+the scalar formatter does, byte for byte, and passes it the values it
+cannot settle.
 
 Exit codes: 0 success, 1 domain error, 2 validation error / bad usage.
 """
@@ -58,6 +61,113 @@ def _numbers(values: Sequence[float], quote) -> list[str]:
     return texts
 
 
+# The array kernel of ``_numbers``, for float64 columns. A value x with
+# decimal exponent e in [-4, 11] has y = |x| * 10**(11 - e) in [1e11, 1e12);
+# 10**(11 - e) is an exact float, so y is the exact product rounded once,
+# by at most 2**-14 (y < 2**40); that cannot carry y across a half-integer,
+# only onto one, so rint(y) is the 12-digit mantissa M that %.12g prints
+# (Clinger's fast path). Values with y within 1e-3 of a half-integer, a
+# wide margin around those ties, go to the scalar path.
+#
+# A cell holds one value's text in _CELL_WIDTH bytes, NUL where no
+# character goes; the NULs are dropped when the rows are joined. It is
+# made of little-endian 8-byte words: a prefix (the sign, and "0." and up
+# to three zeros when e < 0), then M's three groups of four digits, each
+# digit followed by a slot, and one byte more. The digit words drop M's
+# trailing zeros. The exponent words put the point in the slot after digit
+# e, and a "0" on each digit up to the one after the point, which print
+# even when they are dropped zeros ("0" | c == c for every digit c); for
+# e = 11 that last "0" falls on the extra byte, the end of "123456789012.0".
+_CELL_WIDTH = 33
+# rows the kernel lays out at a time, about 0.4 KB of temporaries a row:
+# whole 8192-row chunks raised the cli workload's peak RSS by 4 MB
+_ROW_BLOCK = 2048
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+
+def _digit_words() -> np.ndarray:
+    """Word v + 10**4 * full, for v < 10**4: v's four digits, each followed
+    by an empty slot; unless ``full``, without v's trailing zeros."""
+    full = 48 + np.arange(10, dtype=np.uint64)
+    stripped = np.where(full > 48, full, 0)
+    for shift in (16, 32):  # v's digits, then as many more on the bytes after them
+        later_nonzero = np.arange(len(full)) != 0
+        full, stripped = ((full[:, None] | full << shift).ravel(),
+                          np.where(later_nonzero, full[:, None] | stripped << shift, stripped[:, None]).ravel())
+    return np.concatenate([stripped, full]).astype("<u8")
+
+
+def _exponent_words() -> np.ndarray:
+    """Row i, column e + 4: word i of a cell, as the exponent e alone sets it."""
+    cells = np.zeros((16, 40), np.uint8)
+    for e in range(-4, 0):
+        cells[e + 4, 1:2 - e] = np.frombuffer(b"0." + b"0" * (-1 - e), np.uint8)
+    for e in range(12):
+        cells[e + 4, 8:10 + 2 * e:2] = ord("0")
+        cells[e + 4, 9 + 2 * e:11 + 2 * e] = np.frombuffer(b".0", np.uint8)
+    return np.ascontiguousarray(cells.view("<u8").T)
+
+
+_DIGIT_WORDS = _digit_words()
+_EXPONENT_WORDS = _exponent_words()
+
+
+def _float_cells(x: np.ndarray, quote) -> np.ndarray:
+    """``_numbers`` of a float64 array, as an (n, _CELL_WIDTH) uint8 array
+    of NUL-padded texts. Values the fast path cannot settle (a near-tie,
+    e outside [-4, 11], a mantissa that rounds to 10**12, zero, subnormal
+    and non-finite values) are passed to ``_numbers``."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log10(0), inf - inf
+        # an exponent out of range, or a wrong estimate of it, leaves y out of [1e11, 1e12)
+        e = np.fmin(np.fmax(np.floor(np.log10(a)), -4.0), 11.0).astype(np.intp)
+        y = a * _POW10[11 - e]
+        m = np.rint(y)
+        settled = (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.499)
+    mantissa = np.where(settled, m, 1e11).astype(np.int64)
+    high = mantissa // 10**8
+    low = mantissa - high * 10**8
+    middle = low // 10**4
+    low -= middle * 10**4
+    e += 4
+    words = np.empty((len(x), 5), "<u8")
+    words[:, 0] = _EXPONENT_WORDS[0][e] | np.signbit(x) * np.uint64(ord("-"))
+    # a group keeps its trailing zeros when a later group is not zero
+    words[:, 1] = _DIGIT_WORDS[high + 10**4 * ((middle | low) != 0)] | _EXPONENT_WORDS[1][e]
+    words[:, 2] = _DIGIT_WORDS[middle + 10**4 * (low != 0)] | _EXPONENT_WORDS[2][e]
+    words[:, 3] = _DIGIT_WORDS[low] | _EXPONENT_WORDS[3][e]
+    words[:, 4] = _EXPONENT_WORDS[4][e]
+    cells = words.view(np.uint8)[:, :_CELL_WIDTH]
+    unsettled = np.flatnonzero(~settled)
+    if unsettled.size:
+        # the longest such text, a subnormal's repr, takes 24 bytes
+        texts = _numbers(x[unsettled].tolist(), quote)
+        cells[unsettled] = np.array(texts, dtype=f"S{_CELL_WIDTH}").view(np.uint8).reshape(-1, _CELL_WIDTH)
+    return cells
+
+
+def _float_rows(columns: Sequence[np.ndarray], parts: Sequence[str], quote) -> str:
+    """The rows of float64 columns as one text, each row laid out as
+    ``parts[0]``, its first cell, ``parts[1]``, ..., its last cell,
+    ``parts[-1]``; each cell as ``_numbers`` prints it."""
+    n = len(columns[0])
+    cells = _float_cells(np.concatenate(columns), quote).reshape(len(columns), n, _CELL_WIDTH)
+    literals = [np.frombuffer(part.encode(), np.uint8) for part in parts]
+    out = np.empty((n, sum(map(len, literals)) + len(columns) * _CELL_WIDTH), np.uint8)
+    pos = 0
+    for literal, cell in zip(literals, cells):
+        out[:, pos:pos + len(literal)] = literal
+        pos += len(literal)
+        out[:, pos:pos + _CELL_WIDTH] = cell
+        pos += _CELL_WIDTH
+    out[:, pos:] = literals[-1]
+    return out.tobytes().translate(None, b"\0").decode()
+
+
+def _is_float_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64 and column.ndim == 1
+
+
 def _json_values(values: Sequence, indent: str) -> list[str]:
     """Each value in ``json.dumps(..., indent=2)`` layout, nested at ``indent``."""
     if all(map(isinstance, values, itertools.repeat(float))):
@@ -99,25 +209,40 @@ def _row_count(table: Mapping[str, Sequence]) -> int:
     return len(next(iter(table.values()), ()))
 
 
+def _rows(tables, keys: Sequence[str], parts: Sequence[str], values, quote):
+    """Each table's rows as text, each row laid out as ``parts[0]``, its
+    first value, ``parts[1]``, ..., ``parts[-1]``, column by column: by the
+    array kernel, ``_ROW_BLOCK`` rows at a time, when every column is a
+    float64 ndarray (non-finite values in ``quote``), else with ``values``
+    formatting each column."""
+    template = "%s".join(part.replace("%", "%%") for part in parts)
+    for table in tables:
+        columns = [table[k] for k in keys]
+        if all(map(_is_float_array, columns)):
+            for i in range(0, len(columns[0]), _ROW_BLOCK):
+                yield _float_rows([column[i:i + _ROW_BLOCK] for column in columns], parts, quote)
+        else:
+            yield "".join(map(template.__mod__, zip(*map(values, columns))))
+
+
 def _pieces(tables, fmt: str, keys: Sequence[str], rows: int):
-    """The output text, one piece per table, each laid out column by
+    """The output text in pieces, each table's rows laid out column by
     column; ``rows`` need only tell no row, one row and more."""
     if fmt == "csv":
         yield ",".join(keys)
-        for table in tables:
-            yield "\n" + "\n".join(map(",".join, zip(*(_csv_values(table[k]) for k in keys))))
+        yield from _rows(tables, keys, ["\n", *[","] * (len(keys) - 1), ""], _csv_values, str)
         yield "\n"
         return
     if not rows:
         yield "[]\n"
         return
     indent, lead, tail = ("", "", "\n") if rows == 1 else ("  ", "[\n", "\n]\n")
-    # each row fills one %s template
-    fields = ",\n".join(f"{indent}  {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
-    template = f"{indent}{{\n{fields}\n{indent}}}"
-    for table in tables:
-        yield lead + ",\n".join(map(template.__mod__, zip(*(_json_values(table[k], indent + "  ") for k in keys))))
-        lead = ",\n"
+    fields = [f"{indent}  {json.dumps(k)}: " for k in keys]
+    # every row follows a ",\n"; the first one gives way to ``lead``
+    parts = [f",\n{indent}{{\n{fields[0]}", *(",\n" + field for field in fields[1:]), f"\n{indent}}}"]
+    pieces = _rows(tables, keys, parts, functools.partial(_json_values, indent=indent + "  "), json.dumps)
+    yield lead + next(pieces)[2:]
+    yield from pieces
     yield tail
 
 
@@ -144,7 +269,9 @@ def emit(
     prints as one object, any other as an array of objects. CSV: a header
     row of ``columns`` (sorted keys by default), then one line per row.
     Each float is printed once, to 12 significant digits (see
-    ``_numbers``). Each chunk is formatted column by column and written,
+    ``_numbers``); a chunk whose columns are all float64 ndarrays goes
+    through the array kernel (``_float_rows``) instead, with the same
+    text. Each chunk is formatted column by column and written,
     to ``path`` when given and to stdout otherwise, before the next chunk
     is read. Returns the whole text.
     """
@@ -238,7 +365,7 @@ def _cmd_curve(args):
         raise ValidationError("bad-beta", "--beta-min, --beta-max and their difference must be finite")
     betas = np.linspace(lo, hi, args.samples)
     chunks = (thermal.thermal_points(args.hamiltonian, betas[i:i + _CHUNK]) for i in range(0, args.samples, _CHUNK))
-    return ({key: column.tolist() for key, column in zip(_CURVE_COLUMNS, points)} for points in chunks)
+    return (dict(zip(_CURVE_COLUMNS, points)) for points in chunks)
 
 
 def _cmd_member(args) -> dict[str, list]:

@@ -160,9 +160,19 @@ def thermal_points(h: HamiltonianSpec, betas) -> tuple[np.ndarray, np.ndarray, n
     entropy = np.clip(log_z + t * rel, 0.0, h.log_dim)
     log_z -= finite_b * ref
     energy = ref + rel * h.unit
-    for i in np.flatnonzero(plateau):
-        p = thermal_point(h, float(b[i]))
-        log_z[i], energy[i], entropy[i] = p.log_z, p.energy, p.entropy
+    for side in (plateau & (b < 0), plateau & (b > 0)):
+        if not side.any():
+            continue
+        # one scalar point stands for its whole side: E and S are flat on the
+        # plateau, and log Z = log g - beta*ref is formed as thermal_point forms it
+        ref_p, log_g, rel_p, entropy_p = _unit_point(h, float(b[side.argmax()]))
+        energy[side] = ref_p + rel_p * h.unit
+        entropy[side] = entropy_p
+        if ref_p:
+            with np.errstate(over="ignore"):  # beta*ref overflows to +-inf, as Python floats do
+                log_z[side] = log_g - b[side] * ref_p
+        else:
+            log_z[side] = log_g
     return b, log_z, energy, entropy
 
 

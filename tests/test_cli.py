@@ -1,8 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -516,16 +519,107 @@ class TestEmit:
     def test_float_columns_match_oracle(self, case, fmt):
         self.check(case[0], fmt, case[1])
 
-    @settings(max_examples=50, deadline=None)
-    @given(record_lists(VALUES, 6), st.sampled_from(["json", "csv"]), st.lists(st.integers(0, 6), max_size=4))
-    def test_chunks_match_oracle(self, case, fmt, cuts):
+    @settings(max_examples=100, deadline=None)
+    @given(record_lists(VALUES, 6) | record_lists(FLOATS, 6), st.sampled_from(["json", "csv"]),
+           st.lists(st.integers(0, 6), max_size=4), st.booleans())
+    def test_chunks_match_oracle(self, case, fmt, cuts, arrays):
         # the records split into chunks at ``cuts``, some of them empty; a
-        # lone row in any chunk still prints as one JSON object
+        # lone row in any chunk still prints as one JSON object. With
+        # ``arrays``, float columns come as float64 ndarrays: a chunk made
+        # of them only goes through the array kernel
         records, columns = case
         keys = list(records[0]) if records else columns
         bounds = [0, *sorted(cuts), len(records)]
         chunks = (_table(records[a:b], keys) for a, b in zip(bounds, bounds[1:]))
+        if arrays:
+            chunks = map(_float_arrays, chunks)
         assert cli.emit(chunks, fmt, os.devnull, columns=columns) == _oracle_emit(records, fmt, columns)
+
+
+def _float_arrays(table: dict) -> dict:
+    """The table with each column of floats as a float64 ndarray."""
+    return {k: np.array(v, dtype=np.float64) if all(isinstance(x, float) for x in v) else v for k, v in table.items()}
+
+
+def _kernel_texts(values, quote) -> list[str]:
+    """The array kernel's text of each value, its NUL padding dropped."""
+    cells = cli._float_cells(np.array(values, dtype=np.float64), quote)
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells]
+
+
+@st.composite
+def positional_doubles(draw):
+    """Doubles from raw bit patterns with binary exponents -17 to 43 (7.6e-6 to 1.8e13 in
+    magnitude): the band the kernel settles, and its edges."""
+    sign = draw(st.integers(0, 1))
+    exponent = draw(st.integers(1023 - 17, 1023 + 43))
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | draw(st.integers(0, 2**52 - 1))))[0]
+
+
+class TestFloatKernel:
+    """The array kernel (``_float_cells``) against the scalar ``_numbers``,
+    value by value, with both quotings."""
+
+    @staticmethod
+    def check(values):
+        for quote in (str, json.dumps):
+            assert _kernel_texts(values, quote) == cli._numbers(list(values), quote)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_bit_patterns(self, bits):
+        self.check(np.array(bits, dtype=np.uint64).view(np.float64).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(positional_doubles(), min_size=1, max_size=64))
+    def test_positional_bit_patterns(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("k", range(-4, 12))
+    def test_near_ties(self, k):
+        # d.ddddddddddd5e<k>, read to the nearest double, lies within half
+        # an ulp of a 12-digit rounding tie, as do its neighbours
+        rng = np.random.default_rng(k + 100)
+        values = []
+        for digits in rng.integers(0, 10, (40, 12)):
+            digits[0] = max(digits[0], 1)
+            tie = float(f"{digits[0]}.{''.join(map(str, digits[1:]))}5e{k}")
+            values += [tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf), -tie]
+        self.check(values)
+
+    def test_edge_floats_and_decades(self):
+        decades = [10.0**k for k in range(-6, 18)]
+        near = [math.nextafter(d, t) for d in decades for t in (0.0, math.inf)]
+        values = EDGE_FLOATS + decades + near
+        self.check(values + [-x for x in values])
+
+
+# curve's beta ends: past float max's half, non-finite, subnormal and zero,
+# ordinary, and both sides of the caps of QUBIT (750) and H3 (375)
+CURVE_BETAS = (st.sampled_from([1.7e308, -1.7e308, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                                2.2250738585072014e-308, 0.0, -0.0])
+               | st.floats(-10.0, 10.0) | st.floats(300.0, 1e9) | st.floats(-1e9, -300.0))
+
+
+class TestCurveFuzz:
+    @settings(max_examples=100, deadline=2000)
+    @given(st.sampled_from([QUBIT, H3]), CURVE_BETAS, CURVE_BETAS, st.integers(-2, 3000), st.sampled_from(["json", "csv"]))
+    def test_exit_code_and_text(self, hamiltonian, beta_min, beta_max, samples, fmt):
+        # exit 0 with the scalar path's text, or exit 2 with one JSON error; never a traceback
+        argv = ["curve", "--hamiltonian", hamiltonian, f"--beta-min={beta_min!r}", f"--beta-max={beta_max!r}",
+                "--samples", str(samples), "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert json.loads(err)["error"] in ("bad-beta", "bad-samples")
+            return
+        points = thermal_points(hamiltonian_from_json(hamiltonian), np.linspace(beta_min, beta_max, samples))
+        table = {key: column.tolist() for key, column in zip(cli._CURVE_COLUMNS, points)}
+        assert out == cli.emit(table, fmt, os.devnull, columns=cli._CURVE_COLUMNS)
 
 
 class TestParser:

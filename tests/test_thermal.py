@@ -12,6 +12,7 @@ from thermocone import (
     energy_variance,
     thermal,
     thermal_point,
+    thermal_points,
 )
 
 import frozen_values as fv
@@ -136,6 +137,28 @@ class TestThermalPoint:
         tp = thermal_point(h, 12.0)
         assert tp.energy == 0.7
         assert tp.entropy == pytest.approx(math.log(3))
+
+    @pytest.mark.parametrize("levels", [
+        ((0.0, 2), (0.5, 1), (1.0, 3)),  # ground plateau at E = 0
+        ((-2.0, 3), (-0.5, 1), (0.0, 2)),  # top plateau at E = 0
+        ((-1.0, 2), (0.25, 1), (1.5, 4)),  # both plateaus off zero
+        ((-0.0, 1), (1e-300, 2)),  # a signed zero, and a cap past 1e300
+        ((0.0, 5),),  # one level: only +-inf is on the plateau
+    ])
+    def test_plateau_rows_match_scalar_kernel_bit_for_bit(self, levels):
+        # thermal_points fills the rows beyond the cap from one point per side
+        h = HamiltonianSpec(levels)
+        cap = beta_cap(h)
+        betas = [s * b for s in (1.0, -1.0) for b in (cap * (1 + 1e-15), cap * (1 - 1e-15), 1e300, 1.7e308, math.inf)]
+        _, log_z, energy, entropy = thermal_points(h, betas)
+        plateau = 0
+        for k, beta in enumerate(betas):
+            if abs(beta) > cap or math.isinf(beta):
+                tp = thermal_point(h, beta)
+                got, want = (log_z[k], energy[k], entropy[k]), (tp.log_z, tp.energy, tp.entropy)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (beta, got, want)
+                plateau += 1
+        assert plateau >= 2
 
 
 class TestTangentSlope:
