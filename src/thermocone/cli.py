@@ -115,15 +115,17 @@ _EXPONENT_WORDS = _exponent_words()
 def _float_cells(x: np.ndarray, quote) -> np.ndarray:
     """``_numbers`` of a float64 array, as an (n, _CELL_WIDTH) uint8 array
     of NUL-padded texts. Values the fast path cannot settle (a near-tie,
-    e outside [-4, 11], a mantissa that rounds to 10**12, zero, subnormal
-    and non-finite values) are passed to ``_numbers``."""
+    e outside [-4, 11], a mantissa that rounds to 10**12, subnormal and
+    non-finite values) are passed to ``_numbers``."""
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):  # log10(0), inf - inf
-        # an exponent out of range, or a wrong estimate of it, leaves y out of [1e11, 1e12)
-        e = np.fmin(np.fmax(np.floor(np.log10(a)), -4.0), 11.0).astype(np.intp)
+    zero = a == 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf
+        # an exponent out of range, or a wrong estimate of it, leaves y out of
+        # [1e11, 1e12); a zero takes e = 0 and M = 0, which print as 0.0
+        e = np.fmin(np.fmax(np.floor(np.log10(a, out=np.zeros_like(a), where=~zero)), -4.0), 11.0).astype(np.intp)
         y = a * _POW10[11 - e]
         m = np.rint(y)
-        settled = (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.499)
+        settled = zero | (y >= 1e11) & (m < 1e12) & (np.abs(y - m) < 0.499)
     mantissa = np.where(settled, m, 1e11).astype(np.int64)
     high = mantissa // 10**8
     low = mantissa - high * 10**8
@@ -307,9 +309,12 @@ def _load_json_arg(value: str):
         except OSError as exc:
             raise ValidationError("missing-file", f"cannot read {value}: {exc}") from exc
     try:
-        return json.loads(source)
+        data = json.loads(source)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting past the interpreter's depth
         raise ValidationError("malformed-json", f"invalid JSON in {value!r}: {exc}") from exc
+    if isinstance(data, str):  # no option takes one, and a decoder would read its text as JSON again
+        raise ValidationError("malformed-json", f"{value!r} holds a JSON string, not an object or array")
+    return data
 
 
 def _json(decode):

@@ -39,8 +39,8 @@ from .diagram import (
 )
 from .errors import DomainError
 from .numerics import Bracket, minimize_scalar, solve_root_bracketed
-from .system import ConePoint, HamiltonianSpec, Macrostate
-from .thermal import _T_CAP, _shifted_weights, _variance, beta_from_energy, log_partition, thermal_point
+from .system import ConePoint, HamiltonianSpec
+from .thermal import _T_CAP, _shifted_weights, beta_from_energy, log_partition, thermal_point
 
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
@@ -80,7 +80,7 @@ def cone_contains(h: HamiltonianSpec, y: ConePoint, tol: float = DEFAULT_BOUNDAR
         if abs(y.entropy) <= tol and abs(edge_monotones(h, y)[0]) <= h.energy_tol(tol):
             return Verdict.INSIDE
         return Verdict.OUTSIDE
-    return diagram_contains(h, Macrostate(y.energy / y.size, y.entropy / y.size), tol)
+    return diagram_contains(h, y.normalized(), tol)
 
 
 def edge_monotones(h: HamiltonianSpec, y: ConePoint) -> tuple[float, float]:
@@ -171,9 +171,9 @@ def r_max(
             # R = N/D in t = beta*unit, with N' = (y_E - size*E)/unit and
             # N'' = size*Var/unit^2 (likewise D); log Z, E and Var come from
             # one kernel evaluation, by thermal_point's and _moments' formulas
-            ref, g_ref, rest, rel, weights = _shifted_weights(h, t)
-            beta, z = t / h.unit, g_ref + rest
-            log_z, energy, var = math.log(z) - beta * ref, ref + rel * h.unit, _variance(weights, rel, z)
+            ref, g_ref, rest, rel, var = _shifted_weights(h, t)
+            beta = t / h.unit
+            log_z, energy = math.log(g_ref + rest) - beta * ref, ref + rel * h.unit
             n, d = _slack(y_rho, beta, log_z), _slack(y_sigma, beta, log_z)
             if d <= floor:
                 return math.inf, math.nan, math.nan

@@ -166,7 +166,7 @@ def build_energy_preserving_dilation(
             f"U rho U^dag is {err:.3g} from sigma in trace distance, above delta = {delta}",
         )
 
-    level_set = LevelSet.from_energies(e for e, _ in h.levels)
+    level_set = LevelSet(e for e, _ in h.levels)
     if level_set.magnitude() > m_levels.magnitude():
         raise DomainError("level-magnitude", "need max|L| <= max|M|")
     m_plus = minkowski_sum(m_levels, level_set)

@@ -51,7 +51,8 @@ def _level(value) -> Fraction:
 
 @dataclass(frozen=True, init=False)
 class LevelSet:
-    """A finite set of exact rational energies, deduplicated and sorted.
+    """A finite set of exact rational energies, deduplicated and sorted; a
+    float is taken at its exact binary value.
 
     Held as sorted distinct integers ``nums`` over one shared denominator
     ``den`` in lowest terms, so equal sets compare and hash equal.
@@ -76,11 +77,6 @@ class LevelSet:
         object.__setattr__(self, "den", den // g)
         return self
 
-    @classmethod
-    def from_energies(cls, energies: Iterable) -> "LevelSet":
-        """Build from numbers; floats convert to their exact binary value."""
-        return cls(energies)
-
     @property
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -96,10 +92,6 @@ class LevelSet:
     def magnitude(self) -> Fraction:
         """max |value|; the operator-norm analogue for a diagonal set."""
         return Fraction(max(-self.nums[0], self.nums[-1]), self.den)
-
-    def symmetrized(self) -> "LevelSet":
-        """values, their negatives, and zero."""
-        return object.__new__(LevelSet)._assign({0, *self.nums, *(-n for n in self.nums)}, self.den)
 
 
 def _combine(op, a: LevelSet, b: LevelSet) -> LevelSet:

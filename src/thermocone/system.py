@@ -151,12 +151,9 @@ class HamiltonianSpec:
         return np.repeat(self.energies(), [g for _, g in self.levels])
 
     @cached_property
-    def _mixed_energy(self) -> float:
-        return float(np.dot(self.energies(), [float(g) for _, g in self.levels]) / self.dim)
-
     def mixed_energy(self) -> float:
         """Average energy of the maximally mixed state."""
-        return self._mixed_energy
+        return float(np.dot(self.energies(), [float(g) for _, g in self.levels]) / self.dim)
 
     def to_json(self) -> dict:
         return {"levels": [{"energy": e, "degeneracy": g} for e, g in self.levels]}

@@ -71,9 +71,9 @@ def _beyond_cap(h: HamiltonianSpec, beta):
 def _shifted_weights(h: HamiltonianSpec, t: float):
     """Scalar kernel at finite t: weights shifted to ``ref`` (E_min for
     t >= +0.0, E_max for t <= -0.0), so none exceeds its degeneracy.
-    Returns (ref, g_ref, rest, rel, weights): ``rest`` sums the weights
-    off the ref level, z = g_ref + rest, rel = (E - ref)/unit, and
-    ``weights`` holds the (w_i, (e_i - ref)/unit) pairs."""
+    Returns (ref, g_ref, rest, rel, var): ``rest`` sums the weights off
+    the ref level, z = g_ref + rest, rel = (E - ref)/unit, and var =
+    Var/unit^2, centred on ``rel``; every sum is added in level order."""
     top = math.copysign(1.0, t) < 0
     ref, g_ref = (h.e_max, h.g_top) if top else (h.e_min, h.g_ground)
     weights = []
@@ -84,7 +84,12 @@ def _shifted_weights(h: HamiltonianSpec, t: float):
         if d != 0.0:
             rest += w
         first += w * d
-    return ref, g_ref, rest, first / (g_ref + rest), weights
+    z = g_ref + rest
+    rel = first / z
+    var = 0.0
+    for w, d in weights:
+        var += w * (d - rel) ** 2
+    return ref, g_ref, rest, rel, var / z
 
 
 def _level_sum(rows: np.ndarray) -> np.ndarray:
@@ -184,21 +189,12 @@ def _curve_step(h: HamiltonianSpec, beta1: float, beta2: float) -> tuple[float, 
     return s1 - s2, (ref1 - ref2) + (rel1 - rel2) * h.unit
 
 
-def _variance(weights, rel: float, z: float) -> float:
-    """Var/unit^2 from the scalar kernel's (w_i, d_i) pairs, centred on
-    ``rel`` and added in level order."""
-    var = 0.0
-    for w, d in weights:
-        var += w * (d - rel) ** 2
-    return var / z
-
-
 def _moments(h: HamiltonianSpec, t: float) -> tuple[float, float, float]:
     """Scalar ((E - ref)/unit, S - log g_ref, Var/unit^2) at finite t, the
     fast path of the inverse solvers: both gaps are sums of like-signed terms
     and keep full relative precision near the plateau; Var is centred."""
-    _, g_ref, rest, rel, weights = _shifted_weights(h, t)
-    return rel, math.log1p(rest / g_ref) + t * rel, _variance(weights, rel, g_ref + rest)
+    _, g_ref, rest, rel, var = _shifted_weights(h, t)
+    return rel, math.log1p(rest / g_ref) + t * rel, var
 
 
 def _fold_solve(h: HamiltonianSpec, sign: float, gap, target: float, start) -> float:
@@ -237,7 +233,7 @@ def beta_from_energy(h: HamiltonianSpec, energy: float) -> float:
     # fold beta < 0 onto t = -beta*unit and solve for the distance, in
     # kernel units, to the plateau being approached, using
     # d(E/unit)/dt = -Var/unit^2
-    sign = 1.0 if energy < h.mixed_energy() else -1.0
+    sign = 1.0 if energy < h.mixed_energy else -1.0
     target = sign * (energy - (h.e_min if sign > 0 else h.e_max)) / h.unit
     return _fold_solve(h, sign, lambda m, t: (sign * m[0], -m[2]), target, lambda m0: 0.0)
 

@@ -593,6 +593,12 @@ class TestFloatKernel:
         values = EDGE_FLOATS + decades + near
         self.check(values + [-x for x in values])
 
+    def test_zeros_are_settled_in_the_kernel(self, monkeypatch):
+        # a plateau sweep is mostly zeros: they print without the scalar path
+        monkeypatch.setattr(cli, "_numbers", lambda values, quote: pytest.fail(f"_numbers({values!r})"))
+        for quote in (str, json.dumps):
+            assert _kernel_texts([0.0, -0.0, 0.0, 1.5, -0.0], quote) == ["0.0", "-0.0", "0.0", "1.5", "-0.0"]
+
 
 # curve's beta ends: past float max's half, non-finite, subnormal and zero,
 # ordinary, and both sides of the caps of QUBIT (750) and H3 (375)
@@ -878,11 +884,18 @@ class TestJsonOptions:
         assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize("cmd, option", JSON_OPTIONS, ids=[f"{c}{o}" for c, o in JSON_OPTIONS])
-    @pytest.mark.parametrize("bad", ["malformed", "wrong-shape"])
-    def test_malformed_value_exits_2(self, capsys, cmd, option, bad):
+    @pytest.mark.parametrize("bad", ["malformed", "wrong-shape", "string"])
+    def test_malformed_value_exits_2(self, capsys, tmp_path, cmd, option, bad):
         argv = [cmd, *VALID_CALLS[cmd]]
-        value, error = ("{not json", "malformed-json") if bad == "malformed" else WRONG_SHAPE[option]
-        argv[argv.index(option) + 1] = value
+        i = argv.index(option) + 1
+        if bad == "string":
+            # a file holding the option's valid JSON text as one JSON string
+            path = tmp_path / "string.json"
+            path.write_text(json.dumps(argv[i]))
+            value, error = str(path), "malformed-json"
+        else:
+            value, error = ("{not json", "malformed-json") if bad == "malformed" else WRONG_SHAPE[option]
+        argv[i] = value
         self.expect_error(capsys, argv, error)
 
     def test_json_string_in_a_file_exits_2(self, capsys, tmp_path):

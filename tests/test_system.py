@@ -28,7 +28,7 @@ class TestHamiltonianSpec:
         assert h.dim == 6
         assert h.e_min == 0.0 and h.e_max == 2.0
         assert h.g_ground == 2 and h.g_top == 3
-        assert h.mixed_energy() == pytest.approx((0.5 + 3 * 2.0) / 6)
+        assert h.mixed_energy == pytest.approx((0.5 + 3 * 2.0) / 6)
         assert list(h.expanded_energies()) == [0.0, 0.0, 0.5, 2.0, 2.0, 2.0]
 
     def test_rejects_bad_levels(self):
@@ -231,7 +231,7 @@ class TestMacrostate:
         for _ in range(10):
             h = random_hamiltonian(rng, degenerate=True)
             x = macrostate_of(QuantumState.from_matrix(np.eye(h.dim) / h.dim), h)
-            assert x.energy == pytest.approx(h.mixed_energy(), abs=1e-10)
+            assert x.energy == pytest.approx(h.mixed_energy, abs=1e-10)
             assert x.entropy == pytest.approx(h.log_dim, abs=1e-10)
 
 

@@ -22,16 +22,20 @@ BETAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
 
 def level_order_sums(g_ref, weights):
-    """(z, rel) from (w_i, d_i) pairs: z = g_ref + the weights off the ref
-    level, rel = sum(w_i*d_i)/z, each added from 0.0 in level order with
-    plain additions, as the kernels add (``sum()`` over floats is
-    compensated from Python 3.12 on)."""
-    rest = first = 0.0
+    """(z, rel, var) from (w_i, d_i) pairs: z = g_ref + the weights off the
+    ref level, rel = sum(w_i*d_i)/z and var = sum(w_i*(d_i - rel)**2)/z,
+    each added from 0.0 in level order with plain additions, as the kernels
+    add (``sum()`` over floats is compensated from Python 3.12 on)."""
+    rest = first = var = 0.0
     for w, d in weights:
         if d != 0.0:
             rest += w
         first += w * d
-    return g_ref + rest, first / (g_ref + rest)
+    z = g_ref + rest
+    rel = first / z
+    for w, d in weights:
+        var += w * (d - rel) ** 2
+    return z, rel, var / z
 
 
 class TestThermalPoint:
@@ -103,16 +107,16 @@ class TestThermalPoint:
                 beta = float(t) / h.span
                 ref, g_ref = (h.e_min, h.g_ground) if beta > 0 else (h.e_max, h.g_top)
                 weights = [(g * math.exp(-beta * (e - ref)), e - ref) for e, g in h.levels]
-                z, rel = level_order_sums(g_ref, weights)
+                z, rel, _ = level_order_sums(g_ref, weights)
                 entropy = min(max(math.log(z) + beta * rel, 0.0), h.log_dim)
                 tp = thermal_point(h, beta)
                 assert (tp.energy, tp.log_z, tp.entropy) == (ref + rel, math.log(z) - beta * ref, entropy)
 
     def test_kernels_add_in_level_order(self):
-        """Both kernels give z and rel as plain level-order sums of their
-        own weights, on every Python, so they agree bit for bit wherever
-        their weights do (``np.exp`` and ``math.exp`` may differ in the last
-        bit: numpy's AVX-512 exp does)."""
+        """Both kernels give z and rel, and the scalar kernel var, as plain
+        level-order sums of their own weights, on every Python, so they
+        agree bit for bit wherever their weights do (``np.exp`` and
+        ``math.exp`` may differ in the last bit: numpy's AVX-512 exp does)."""
         rng = np.random.default_rng(19)
         agreeing = 0
         for _ in range(200):
@@ -122,10 +126,11 @@ class TestThermalPoint:
             refs, ds, ws, zs = thermal._shifted_weight_rows(h, ts)
             rels = thermal._level_sum(ws * ds) / zs
             for i, t in enumerate(ts.tolist()):
-                ref, g_ref, rest, rel, weights = thermal._shifted_weights(h, t)
-                assert (g_ref + rest, rel) == level_order_sums(g_ref, weights)
+                ref, g_ref, rest, rel, var = thermal._shifted_weights(h, t)
+                weights = [(g * math.exp(-t * d), d) for d, g in h.unit_levels[math.copysign(1.0, t) < 0]]
+                assert (g_ref + rest, rel, var) == level_order_sums(g_ref, weights)
                 column = list(zip(ws[:, i].tolist(), ds[:, i].tolist()))
-                assert (zs[i], rels[i]) == level_order_sums(g_ref, column)
+                assert (zs[i], rels[i]) == level_order_sums(g_ref, column)[:2]
                 assert refs[i] == ref
                 if column == weights:
                     agreeing += 1
