@@ -3,16 +3,21 @@
 A unitary that moves a state between energy levels cannot itself commute
 with the Hamiltonian, but padding the system with an ancilla that is
 wide enough in energy (its levels carry a sumset M -/+ L of the system's
-level set L) and starts in a uniform superposition makes an
+level set L) and starts in a uniform superposition psi makes an
 energy-preserving partial isometry act like the original unitary up to a
 deficit factor |M| / |M -/+ L|:
 
   incoherent target:  V = sum_{h in M} P_a U P_b (x) |h - a><h - b|
   incoherent source:  V = sum_{h in M} P_a U P_b (x) |h + b><h + a|
 
-V is completed to a genuine unitary block by block in total energy (the
-polar factor of each block), so the resulting channel is trace
-preserving and exactly energy preserving. When neither endpoint is free
+Every energy is an exact integer over one shared denominator. V is
+written by one indexed assignment from a d x |M| table of the ancilla
+indices of h -/+ e_l; a zero of U leaves +0.0 in V. V is completed to a
+genuine unitary block by block in exact total energy (the polar factor
+of each block, one batched SVD per block size), so the resulting channel
+is trace preserving and exactly energy preserving. As psi is uniform,
+the output needs only each column's sum over the input ancilla, and one
+einsum takes the partial trace. When neither endpoint is free
 of energy coherences, the map is composed through an energy-diagonal
 intermediate carrying the source spectrum, doubling the deficit budget.
 Distances here are trace distances (half the trace norm).
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,12 +79,7 @@ def _is_energy_incoherent(a: np.ndarray, level_of: np.ndarray) -> bool:
 
 
 def _apply_case(
-    u: np.ndarray,
-    state: np.ndarray,
-    energies: np.ndarray,
-    anc: LevelSet,
-    m_levels: LevelSet,
-    case: str,
+    u: np.ndarray, state: np.ndarray, energies: np.ndarray, anc: LevelSet, m_levels: LevelSet, case: str
 ) -> tuple[np.ndarray, float, float]:
     """Run one single-case step.
 
@@ -90,42 +89,40 @@ def _apply_case(
     d = u.shape[0]
     a_dim = len(anc)
     # system levels, ancilla and M as integers over one shared denominator
-    den = math.lcm(anc.den, m_levels.den, *(Fraction(e).denominator for e in energies))
-    levels = [int(Fraction(e) * den) for e in energies]
+    ratios = [e.as_integer_ratio() for e in energies.tolist()]
+    den = math.lcm(anc.den, m_levels.den, *(q for _, q in ratios))
+    levels = [p * (den // q) for p, q in ratios]
     anc_values = [n * (den // anc.den) for n in anc.nums]
-    m_values = {n * (den // m_levels.den) for n in m_levels.nums}
     anc_index = {v: i for i, v in enumerate(anc_values)}
-    joint = d * a_dim
-    vt = np.zeros((joint, joint), dtype=complex)
-    target = case == "incoherent-target"
-    for j, row in enumerate(u.T.tolist()):
-        for i, uij in enumerate(row):
-            if uij == 0.0:
-                continue
-            for a_in, val_in in enumerate(anc_values):
-                hh = val_in + levels[j] if target else val_in - levels[i]
-                if hh in m_values:
-                    val_out = hh - levels[i] if target else hh + levels[j]
-                    vt[i * a_dim + anc_index[val_out], j * a_dim + a_in] = uij
+    # table[l, h]: the ancilla index of h - e_l (target) or h + e_l (source), h in M. U's entry (a, b)
+    # goes to V at row (a, table[a, h]), column (b, table[b, h]) (target), or (a, table[b, h]), (b, table[a, h])
+    sign = -1 if case == "incoherent-target" else 1
+    table = np.array([[anc_index[n * (den // m_levels.den) + sign * e] for n in m_levels.nums] for e in levels])
+    out_anc, in_anc = (table[:, None], table[None]) if sign < 0 else (table[None], table[:, None])
+    base = np.arange(d) * a_dim
+    vt = np.zeros((d * a_dim, d * a_dim), dtype=complex)
+    # a zero of U, signed or not, leaves +0.0 in V: a rank-deficient block's completion follows its zeros' signs
+    vt[base[:, None, None] + out_anc, base[None, :, None] + in_anc] = np.where(u == 0, 0, u)[..., None]
 
-    # exact total-energy bookkeeping, then residual and blockwise completion
-    codes: dict = {}
-    code_arr = np.array([codes.setdefault(e + v, len(codes)) for e in levels for v in anc_values])
-    residual = float(np.abs(vt[np.not_equal.outer(code_arr, code_arr)]).max(initial=0.0))
-
+    # exact total-energy blocks, then residual and blockwise completion
+    blocks: dict[int, list[int]] = {}
+    for k, total in enumerate(e + v for e in levels for v in anc_values):
+        blocks.setdefault(total, []).append(k)
     ut = np.zeros_like(vt)
-    blocks = [np.flatnonzero(code_arr == code) for code in range(len(codes))]
-    for size in {len(b) for b in blocks}:
-        idx = np.array([b for b in blocks if len(b) == size])
+    offblock = vt.copy()
+    for size in {len(b) for b in blocks.values()}:
+        idx = np.array([b for b in blocks.values() if len(b) == size])
         rows, cols = idx[:, :, None], idx[:, None, :]
         ub, _s, vhb = np.linalg.svd(vt[rows, cols])
         ut[rows, cols] = ub @ vhb
+        offblock[rows, cols] = 0.0
+    residual = float(np.abs(offblock).max(initial=0.0))
 
-    psi = np.full(a_dim, 1.0 / math.sqrt(a_dim))
-    omega = np.kron(state, np.outer(psi, psi))
-    out_joint = ut @ omega @ ut.conj().T
-    output = np.einsum("iaja->ij", out_joint.reshape(d, a_dim, d, a_dim))
-    passed = float((vt @ omega @ vt.conj().T).trace().real)
+    # psi is uniform, so X(|j> (x) psi) = W[..., j] = psi_a * sum_a X[:, (j, a)]
+    psi_a = 1.0 / math.sqrt(a_dim)
+    w_ut, w_vt = (x.reshape(d, a_dim, d, a_dim).sum(3) * psi_a for x in (ut, vt))
+    output = np.einsum("ibj,jl,kbl->ik", w_ut, state, w_ut.conj())
+    passed = float(np.vdot(w_vt, w_vt @ state).real)
     return output, residual, passed
 
 

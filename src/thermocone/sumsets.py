@@ -37,9 +37,12 @@ __all__ = [
 _MAX_DECIMAL_EXPONENT = 1100
 
 
-def _level(value) -> Fraction:
-    """``Fraction(value)``, refusing booleans and decimal exponents past
+def _level(value) -> int | Fraction:
+    """``value`` itself if it is an ``int`` or ``Fraction`` (exact type), else
+    ``Fraction(value)``, refusing booleans and decimal exponents past
     ``_MAX_DECIMAL_EXPONENT`` (``Fraction`` would build 10**exponent)."""
+    if type(value) in (int, Fraction):
+        return value
     if isinstance(value, bool):
         raise TypeError(f"a boolean is not a level: {value!r}")
     if isinstance(value, str):

@@ -23,6 +23,7 @@ from thermocone.thermal import beta_from_energy
 
 import frozen_values as fv
 from conftest import random_density_matrix, random_hamiltonian
+from mp_thermal import mp_thermal_point
 
 
 def random_cone_point(rng, h):
@@ -169,21 +170,13 @@ class TestRmax:
             assert scaled == pytest.approx(lam * base, abs=1e-8)
 
 
-def mp_log_z_and_energy(h, beta):
-    """(log Z, E) of the thermal state at ``beta``, summed by mpmath at its
-    working precision."""
-    weights = [(g * mpmath.exp(-beta * mpmath.mpf(e)), mpmath.mpf(e)) for e, g in h.levels]
-    z = mpmath.fsum(w for w, _ in weights)
-    return mpmath.log(z), mpmath.fsum(w * e for w, e in weights) / z
-
-
 def stationary_beta(h, y_rho, y_sigma, start):
     """A root of N'D - ND' at 40 digits, by mpmath's secant iteration from
     ``start``, where N and D are the athermalities of ``y_rho`` and
     ``y_sigma``: a stationary point of their ratio."""
     with mpmath.workdps(40):
         def slope_numerator(beta):
-            log_z, energy = mp_log_z_and_energy(h, beta)
+            log_z, energy, _, _ = mp_thermal_point(h.levels, beta)
             n = beta * y_rho.energy - y_rho.entropy + y_rho.size * log_z
             d = beta * y_sigma.energy - y_sigma.entropy + y_sigma.size * log_z
             return (y_rho.energy - y_rho.size * energy) * d - n * (y_sigma.energy - y_sigma.size * energy)
@@ -257,8 +250,8 @@ def boundary_root(h, y_rho, y_sigma, start):
         def g(r):
             n = y_rho.size - r * y_sigma.size
             e = (y_rho.energy - r * y_sigma.energy) / n
-            beta = mpmath.findroot(lambda b: mp_log_z_and_energy(h, b)[1] - e, beta_from_energy(h, float(e)))
-            return n * (mp_log_z_and_energy(h, beta)[0] + beta * e) - (y_rho.entropy - r * y_sigma.entropy)
+            beta = mpmath.findroot(lambda b: mp_thermal_point(h.levels, b)[1] - e, beta_from_energy(h, float(e)))
+            return n * (mp_thermal_point(h.levels, beta)[0] + beta * e) - (y_rho.entropy - r * y_sigma.entropy)
 
         width = mpmath.mpf(1e-9) * max(1.0, start)
         return float(mpmath.findroot(g, (start - width, start + width), solver="anderson"))

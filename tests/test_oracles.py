@@ -7,19 +7,15 @@ expected values that the example and acceptance tests assert against.
 import mpmath as mp
 
 import frozen_values as fv
+from mp_thermal import mp_thermal_point
 
 mp.mp.dps = 30
-
-
-def _qubit_thermal(beta):
-    z = 1 + mp.exp(-beta)
-    energy = mp.exp(-beta) / z
-    return energy, beta * energy + mp.log(z), mp.log(z)
+QUBIT = ((0, 1), (1, 1))  # (energy, degeneracy)
 
 
 def _beta_eff(b1, b2):
-    e1, s1, _ = _qubit_thermal(b1)
-    e2, s2, _ = _qubit_thermal(b2)
+    _, e1, s1, _ = mp_thermal_point(QUBIT, b1)
+    _, e2, s2, _ = mp_thermal_point(QUBIT, b2)
     return (s1 - s2) / (e1 - e2)
 
 
@@ -28,12 +24,11 @@ def _close(frozen, exact, tol=1e-12):
 
 
 def test_qubit_thermal_point_constants():
-    energy, entropy, log_z = _qubit_thermal(mp.mpf(1))
+    log_z, energy, entropy, variance = mp_thermal_point(QUBIT, mp.mpf(1))
     _close(fv.QUBIT_E_BETA1, energy)
     _close(fv.QUBIT_S_BETA1, entropy)
     _close(fv.QUBIT_LOGZ_BETA1, log_z)
-    p = mp.exp(-1) / (1 + mp.exp(-1))
-    _close(fv.QUBIT_VAR_BETA1, p * (1 - p))
+    _close(fv.QUBIT_VAR_BETA1, variance)
 
 
 def test_beta_eff_constant():
@@ -58,8 +53,8 @@ def test_rate_constant():
 def test_exchange_constants():
     s_rho = -(mp.mpf("0.75") * mp.log(mp.mpf("0.75")) + mp.mpf("0.25") * mp.log(mp.mpf("0.25")))
     _close(fv.S_DIAG_75_25, s_rho)
-    e1, s1, _ = _qubit_thermal(mp.mpf(1))
-    e2, s2, _ = _qubit_thermal(mp.mpf(2))
+    _, e1, s1, _ = mp_thermal_point(QUBIT, mp.mpf(1))
+    _, e2, s2, _ = mp_thermal_point(QUBIT, mp.mpf(2))
     _close(fv.EXCHANGE_M_OVER_N, (mp.log(2) - s_rho) / (s1 - s2))
     b_eff = _beta_eff(mp.mpf(1), mp.mpf(2))
     work = (mp.mpf("0.25") - mp.mpf("0.5")) - (s_rho - mp.log(2)) / b_eff
@@ -71,8 +66,7 @@ def test_exchange_constants():
 
 def test_reservoir_lead_constant():
     s_rho = -(mp.mpf("0.75") * mp.log(mp.mpf("0.75")) + mp.mpf("0.25") * mp.log(mp.mpf("0.25")))
-    p = mp.exp(-1) / (1 + mp.exp(-1))
-    var = p * (1 - p)
+    var = mp_thermal_point(QUBIT, mp.mpf(1))[3]
     _close(fv.RESERVOIR_LEAD_EXAMPLE, (mp.log(2) - s_rho) / (var * mp.mpf("0.01")), tol=1e-10)
 
 

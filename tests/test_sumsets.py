@@ -63,6 +63,20 @@ class TestLevelSet:
         assert (c.nums, c.den) == ((1, 2), 2)
         assert a != LevelSet([Fraction(1, 2)]) and a != a.values
 
+    def test_every_input_form_gives_the_same_set(self):
+        whole = [-3, 0, 2, 7]
+        forms = (whole, [Fraction(v) for v in whole], [float(v) for v in whole], [str(v) for v in whole])
+        assert len({LevelSet(form) for form in forms}) == 1
+        dyadic = [Fraction(-5, 4), Fraction(0), Fraction(1, 2), Fraction(3)]
+        forms = (dyadic, [float(v) for v in dyadic], [str(float(v)) for v in dyadic], [-1.25, 0, "1/2", 3])
+        assert len({LevelSet(form) for form in forms}) == 1
+
+    def test_booleans_refused(self):
+        for values in ([True], [0, False], [Fraction(1, 2), True, 3]):
+            with pytest.raises(ValidationError) as err:
+                LevelSet(values)
+            assert err.value.code == "bad-level"
+
     def test_membership_and_magnitude(self):
         l = fracs(Fraction(-7, 3), 0, Fraction(1, 2))
         assert Fraction(-7, 3) in l and 0.5 in l and "1/2" in l
