@@ -40,7 +40,7 @@ from .diagram import (
 from .errors import DomainError
 from .numerics import Bracket, minimize_scalar, solve_root_bracketed
 from .system import ConePoint, HamiltonianSpec
-from .thermal import _T_CAP, _shifted_weights, beta_from_energy, log_partition, thermal_point
+from .thermal import _T_CAP, _unit_point, beta_from_energy, log_partition, thermal_point
 
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
@@ -104,8 +104,10 @@ def _slack(y: ConePoint, beta, log_z):
 def _boundary_slack(h: HamiltonianSpec, y_rho: ConePoint, y_sigma: ConePoint, r: float):
     """(g, g') at y = y_rho - r*y_sigma, where g = n*S_max(E/n) - S is the
     slack of the curved facet and g' = -A_beta(y_sigma) at the thermal
-    point of energy E/n. The slope is nan where it does not exist: at
-    E/n = E_min or E_max, and at the apex n <= 0, where g is -S."""
+    point of energy E/n. At E/n = E_min or E_max with the target's E/n
+    there too, the ray runs along that edge and g = n*log g_edge - S is
+    linear in r. The slope is nan where it does not exist: where the ray
+    crosses an edge, and at the apex n <= 0, where g is -S."""
     y = y_rho - y_sigma.scaled(r)
     if y.size <= 0.0:
         return -y.entropy, math.nan
@@ -113,7 +115,9 @@ def _boundary_slack(h: HamiltonianSpec, y_rho: ConePoint, y_sigma: ConePoint, r:
     if h.e_min < e < h.e_max:
         tp = thermal_point(h, beta_from_energy(h, e))
         return y.size * tp.entropy - y.entropy, -_slack(y_sigma, tp.beta, tp.log_z)
-    return y.size * max_entropy_at_energy(h, e) - y.entropy, math.nan
+    s_edge = max_entropy_at_energy(h, e)
+    along = abs(y_sigma.energy - y_sigma.size * e) <= h.energy_tol(1e-12 * max(1.0, abs(y_sigma.size)))
+    return y.size * s_edge - y.entropy, (y_sigma.entropy - y_sigma.size * s_edge) if along else math.nan
 
 
 def r_max(
@@ -170,10 +174,10 @@ def r_max(
         def ratio_at(t: float) -> tuple[float, float, float]:
             # R = N/D in t = beta*unit, with N' = (y_E - size*E)/unit and
             # N'' = size*Var/unit^2 (likewise D); log Z, E and Var come from
-            # one kernel evaluation, by thermal_point's and _moments' formulas
-            ref, g_ref, rest, rel, var = _shifted_weights(h, t)
+            # one kernel point (the unit is a power of two: t/unit*unit == t)
             beta = t / h.unit
-            log_z, energy = math.log(g_ref + rest) - beta * ref, ref + rel * h.unit
+            ref, log_z, rel, _, var = _unit_point(h, beta)
+            log_z, energy = log_z - beta * ref, ref + rel * h.unit
             n, d = _slack(y_rho, beta, log_z), _slack(y_sigma, beta, log_z)
             if d <= floor:
                 return math.inf, math.nan, math.nan

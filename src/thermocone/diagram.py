@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .system import HamiltonianSpec, Macrostate, QuantumState, macrostate_of
-from .thermal import _shifted_weights, beta_from_energy, beta_from_entropy, log_partition, thermal_point
+from .thermal import beta_from_energy, beta_from_entropy, log_partition, thermal_point
 
 __all__ = [
     "Verdict",
@@ -60,10 +60,9 @@ def athermality(h: HamiltonianSpec, x: Macrostate, beta: float) -> float:
     nonnegative on every achievable macrostate, linear in x."""
     if not math.isfinite(beta):
         raise ValidationError("bad-beta", "beta must be finite")
-    # the scalar kernel at any finite beta: thermal_point's plateau rule
-    # would drop the weights of levels close to the extreme one
-    ref, g_ref, rest, _, _ = _shifted_weights(h, beta * h.unit)
-    return beta * x.energy - x.entropy + (math.log(g_ref + rest) - beta * ref)
+    # the array kernel at any finite beta, as facet_check: thermal_point's
+    # plateau rule would drop the weights of levels close to the extreme one
+    return beta * x.energy - x.entropy + float(log_partition(h, beta)[0])
 
 
 def max_entropy_at_energy(h: HamiltonianSpec, energy: float) -> float:

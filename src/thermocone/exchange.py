@@ -16,6 +16,8 @@ the two reservoir points acts as an effective inverse temperature:
 
 so Q - W = E(sigma) - E(rho) (first law) holds identically, and in the
 limit beta2 -> beta1 both reduce to the usual free-energy expressions.
+Each reservoir's step (S(tau_b1) - S(tau_b2), E(tau_b1) - E(tau_b2)) is
+computed once and serves both its chord slope and its size.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .system import HamiltonianSpec, Macrostate, QuantumState, macrostate_of
-from .thermal import _curve_step, energy_variance, thermal_point
+from .thermal import _curve_step, energy_variance
 
 __all__ = [
     "ExchangeSpec",
@@ -94,21 +96,23 @@ def beta_eff(h: HamiltonianSpec, beta1: float, beta2: float) -> float:
     replaced by the tangent slope at the midpoint (the slope of the curve
     at beta is beta itself).
     """
+    return _chord_slope(h, beta1, beta2)
+
+
+def _chord_slope(h: HamiltonianSpec, beta1: float, beta2: float, step=None) -> float:
+    """``beta_eff``; the curve step (dS, dE) is taken after the checks unless given."""
     if not (math.isfinite(beta1) and math.isfinite(beta2)):
         raise ValidationError("bad-beta", "reservoir betas must be finite")
     h.require_span()
     if abs(beta1 - beta2) * h.span < 1e-6 * (1.0 + abs(beta1) * h.span):
         return 0.5 * (beta1 + beta2)
-    ds, de = _curve_step(h, beta1, beta2)
+    ds, de = step or _curve_step(h, beta1, beta2)
     return ds / de
 
 
-def _reservoir_ratio(spec: ExchangeSpec, x_rho: Macrostate, x_sigma: Macrostate) -> float:
+def _reservoir_ratio(ds_reservoir: float, x_rho: Macrostate, x_sigma: Macrostate) -> float:
     """m/n = (S(sigma)-S(rho)) / (S(tau_b1)-S(tau_b2)); raises on inconsistent signs."""
     ds_system = x_sigma.entropy - x_rho.entropy
-    p1 = thermal_point(spec.hamiltonian, spec.beta1)
-    p2 = thermal_point(spec.hamiltonian, spec.beta2)
-    ds_reservoir = p1.entropy - p2.entropy
     if ds_system == 0.0:
         return 0.0
     if ds_reservoir == 0.0:
@@ -130,7 +134,8 @@ def _reservoir_ratio(spec: ExchangeSpec, x_rho: Macrostate, x_sigma: Macrostate)
 def reservoir_ratio(spec: ExchangeSpec) -> float:
     """Reservoir copies per system copy: m/n = dS_system / dS_reservoir."""
     h = spec.hamiltonian
-    return _reservoir_ratio(spec, macrostate_of(spec.rho, h), macrostate_of(spec.sigma, h))
+    x_rho, x_sigma = macrostate_of(spec.rho, h), macrostate_of(spec.sigma, h)
+    return _reservoir_ratio(_curve_step(h, spec.beta1, spec.beta2)[0], x_rho, x_sigma)
 
 
 def work_heat(spec: ExchangeSpec) -> ExchangeResult:
@@ -138,8 +143,9 @@ def work_heat(spec: ExchangeSpec) -> ExchangeResult:
     battery sizes that realize the conversion."""
     h = spec.hamiltonian
     x_rho, x_sigma = macrostate_of(spec.rho, h), macrostate_of(spec.sigma, h)
-    m_over_n = _reservoir_ratio(spec, x_rho, x_sigma)
-    b_eff = beta_eff(h, spec.beta1, spec.beta2)
+    step = _curve_step(h, spec.beta1, spec.beta2)
+    m_over_n = _reservoir_ratio(step[0], x_rho, x_sigma)
+    b_eff = _chord_slope(h, spec.beta1, spec.beta2, step)
     work = (x_rho.energy - x_sigma.energy) - (x_rho.entropy - x_sigma.entropy) / b_eff
     heat = (x_sigma.entropy - x_rho.entropy) / b_eff
     return ExchangeResult(
@@ -189,7 +195,7 @@ def reservoir_size_for_epsilon(
     ds_system = x_sigma.entropy - x_rho.entropy
     if ds_system == 0.0:
         return ReservoirSizing(0.0, 0.0, epsilon)
-    exact = _reservoir_ratio(ExchangeSpec(h, rho, sigma, beta1, beta1 + epsilon), x_rho, x_sigma)
+    exact = _reservoir_ratio(_curve_step(h, beta1, beta1 + epsilon)[0], x_rho, x_sigma)
     return ReservoirSizing(ds_system / (beta1 * var * epsilon), exact, epsilon)
 
 
@@ -216,10 +222,10 @@ def engine_efficiencies(
         )
     if beta_hot <= 0.0:
         raise DomainError("bad-ordering", "reservoir temperatures must be positive (beta_hot > 0)")
-    b_c = beta_eff(h, beta_cold, beta_less_cold)
-    b_h = beta_eff(h, beta_hot, beta_less_hot)
     # the cold reservoir's (entropy, energy) drop from now to later
-    ds, de = _curve_step(h, beta_cold, beta_less_cold)
+    ds, de = cold = _curve_step(h, beta_cold, beta_less_cold)
+    b_c = _chord_slope(h, beta_cold, beta_less_cold, cold)
+    b_h = beta_eff(h, beta_hot, beta_less_hot)
     return EnginePerformance(
         eta_engine=1.0 - b_h / b_c,
         eta_refrigerator=1.0 / (b_c / b_h - 1.0),

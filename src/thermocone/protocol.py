@@ -379,6 +379,8 @@ def run_entropy_protocol(
     works) and is only accounted for through the fiber-size bound.
     Atypical source mass is routed to the first typical target outcome.
     """
+    if outcome_cap < 1:
+        raise ValidationError("bad-outcome-cap", f"outcome cap must be at least 1, got {outcome_cap}")
     if outcome_cap >= 2**63:  # the greedy counts items in int64
         raise ValidationError("bad-outcome-cap", "outcome cap must be below 2**63")
     gap = abs(p.shannon_bits() - q.shannon_bits())

@@ -8,9 +8,12 @@ kernels run in the exact units of ``HamiltonianSpec.unit`` (t = beta*unit,
 energies (e - ref)/unit; the public functions map back) with the weights
 shifted to the plateau level ``ref`` on beta's side, so nothing overflows;
 beyond ``beta_cap`` the curve is numerically flat and the exact plateau
-values are returned. One formula has two kernels: a scalar one
-(``thermal_point`` and the inverse solvers) and an array one
-(``thermal_points`` and ``log_partition``). Both add their sums in level
+values are returned. One formula has two kernels. The scalar one has two
+entry points: ``_unit_point`` for one point (``thermal_point``,
+``energy_variance``, ``exchange``'s curve step and ``cone.r_max``'s ratio
+refinement) and ``_moments`` for the inverse solvers. The array one serves
+``thermal_points`` and ``log_partition`` (A_beta in ``diagram`` and
+``cone``); no other module sums weights. Both add their sums in level
 order with plain floating-point additions, on every supported Python
 (``sum()`` over floats is compensated from Python 3.12 on, so neither
 kernel uses it). Their weights come from ``math.exp`` and ``np.exp``,
@@ -122,19 +125,19 @@ def log_partition(h: HamiltonianSpec, betas) -> np.ndarray:
     return np.log(z) - b * ref
 
 
-def _unit_point(h: HamiltonianSpec, beta: float) -> tuple[float, float, float, float]:
-    """``thermal_point`` in kernel units: (ref, log z, rel, S) with E = ref
-    + rel*unit and log Z = log z - beta*ref; on the plateau, rel = 0."""
+def _unit_point(h: HamiltonianSpec, beta: float) -> tuple[float, float, float, float, float]:
+    """``thermal_point`` in kernel units: (ref, log z, rel, S, var) with E = ref +
+    rel*unit, log Z = log z - beta*ref, Var = var*unit^2; on the plateau, rel = var = 0."""
     if math.isnan(beta):
         raise ValidationError("bad-beta", "beta must not be NaN")
     if _beyond_cap(h, beta):
         ref, g = (h.e_max, h.g_top) if beta < 0 else (h.e_min, h.g_ground)
-        return ref, math.log(g), 0.0, math.log(g)
+        return ref, math.log(g), 0.0, math.log(g), 0.0
     t = beta * h.unit
-    ref, g_ref, rest, rel, _ = _shifted_weights(h, t)
+    ref, g_ref, rest, rel, var = _shifted_weights(h, t)
     log_z = math.log(g_ref + rest)
     # S = log z + t*rel: both terms share one sign, so the sum never cancels
-    return ref, log_z, rel, min(max(log_z + t * rel, 0.0), h.log_dim)
+    return ref, log_z, rel, min(max(log_z + t * rel, 0.0), h.log_dim), var
 
 
 def thermal_point(h: HamiltonianSpec, beta: float) -> ThermalPoint:
@@ -144,7 +147,7 @@ def thermal_point(h: HamiltonianSpec, beta: float) -> ThermalPoint:
     top plateau (E_max, log g_top) are returned exactly there, and also for
     any finite beta beyond the cap.
     """
-    ref, log_z, rel, entropy = _unit_point(h, beta)
+    ref, log_z, rel, entropy, _ = _unit_point(h, beta)
     # ref == 0 skips beta*ref, which is nan at beta = +-inf
     log_z = log_z - beta * ref if ref else log_z
     return ThermalPoint(beta=float(beta), log_z=log_z, energy=ref + rel * h.unit, entropy=entropy)
@@ -170,7 +173,7 @@ def thermal_points(h: HamiltonianSpec, betas) -> tuple[np.ndarray, np.ndarray, n
             continue
         # one scalar point stands for its whole side: E and S are flat on the
         # plateau, and log Z = log g - beta*ref is formed as thermal_point forms it
-        ref_p, log_g, rel_p, entropy_p = _unit_point(h, float(b[side.argmax()]))
+        ref_p, log_g, rel_p, entropy_p, _ = _unit_point(h, float(b[side.argmax()]))
         energy[side] = ref_p + rel_p * h.unit
         entropy[side] = entropy_p
         if ref_p:
@@ -184,8 +187,8 @@ def thermal_points(h: HamiltonianSpec, betas) -> tuple[np.ndarray, np.ndarray, n
 def _curve_step(h: HamiltonianSpec, beta1: float, beta2: float) -> tuple[float, float]:
     """(S(tau_b1) - S(tau_b2), E(tau_b1) - E(tau_b2)); the energy step is
     taken in kernel units, free of rounding at the energies' origin."""
-    ref1, _, rel1, s1 = _unit_point(h, beta1)
-    ref2, _, rel2, s2 = _unit_point(h, beta2)
+    ref1, _, rel1, s1, _ = _unit_point(h, beta1)
+    ref2, _, rel2, s2, _ = _unit_point(h, beta2)
     return s1 - s2, (ref1 - ref2) + (rel1 - rel2) * h.unit
 
 
@@ -273,4 +276,4 @@ def energy_variance(h: HamiltonianSpec, beta: float) -> float:
     if not math.isfinite(beta):
         raise ValidationError("bad-beta", "beta must be finite")
     cap = beta_cap(h)
-    return _moments(h, min(max(beta, -cap), cap) * h.unit)[2] * h.unit * h.unit
+    return _unit_point(h, min(max(beta, -cap), cap))[4] * h.unit * h.unit

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
-from thermocone import beta_cap, cli, hamiltonian_from_json, thermal_point, thermal_points
+from thermocone import ValidationError, beta_cap, cli, hamiltonian_from_json, thermal_point, thermal_points
 from thermocone.cli import main
 
 QUBIT = '{"levels":[{"energy":0.0,"degeneracy":1},{"energy":1.0,"degeneracy":1}]}'
@@ -771,6 +771,8 @@ class TestErrorMapping:
              "bad-ancilla-bits"),
             (["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--ancilla-bits", "60",
               "--cap", str(10**400)], "bad-outcome-cap"),
+            (["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--cap=-1"], "bad-outcome-cap"),
+            (["protocol", "--p", "[0.7,0.3]", "--q", "[0.3,0.7]", "--n", "10", "--cap=0"], "bad-outcome-cap"),
             (_dilate('{"matrix":[[[0.6,0],[0,0]],[[0,0],[0.6,0]]]}'), "bad-trace"),
             (_dilate('{"matrix":[[[-0.5,0],[0,0]],[[0,0],[1.5,0]]]}'), "negative-eigenvalue"),
             (_dilate('{"matrix":[[[0.5,0],[0.5,0]],[[0,0],[0.5,0]]]}'), "not-hermitian"),
@@ -782,7 +784,7 @@ class TestErrorMapping:
             (["coarse", "--p", "[%d]" % 10**400, "--q", "[1]"], "bad-number"),
         ],
         ids=["levels", "distribution", "degeneracy", "huge-degeneracy", "degeneracy-2**53+1", "huge-ancilla-bits",
-             "huge-cap", "dilate-bad-trace", "dilate-negative-rho", "dilate-non-hermitian", "ragged-matrix",
+             "huge-cap", "negative-cap", "zero-cap", "dilate-bad-trace", "dilate-negative-rho", "dilate-non-hermitian", "ragged-matrix",
              "ragged-unitary", "object-entry-unitary", "deep-nesting", "huge-integer"],
     )
     def test_refused_input_exits_2(self, capsys, argv, error):
@@ -921,3 +923,10 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["member"] is True
+
+
+@pytest.mark.parametrize("fmt", ["xml", "JSON", ""])
+def test_emit_unknown_format_refused(fmt):
+    with pytest.raises(ValidationError) as err:
+        cli.emit({"a": [1.0]}, fmt, None)
+    assert err.value.code == "bad-format"

@@ -299,6 +299,37 @@ class TestBoundarySolve:
         res = r_max(h, ConePoint(0.7, 0.2, 1.0), ConePoint(0.5, 0.1, 1.0))
         assert res.rate_bisect == pytest.approx(0.6, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "levels, rho, sigma",
+        [
+            (((0.5, 2),), (0.5, 0.5, 1.0), (0.5, 0.1, 1.0)),
+            (((0.5, 3),), (1.0, 1.2 * math.log(3), 2.0), (0.5, 0.2 * math.log(3), 1.0)),
+            (((0.0, 2), (1.0, 1)), (0.0, 0.6, 1.0), (0.0, 0.2, 1.0)),
+            (((0.0, 1), (1.0, 2)), (1.0, 0.6, 1.0), (1.0, 0.2, 1.0)),
+        ],
+        ids=["single-level-g2", "single-level-g3", "ground-edge", "top-edge"],
+    )
+    def test_edge_ray_is_exact(self, levels, rho, sigma):
+        """Along an edge of degeneracy g, g(r) = n(r) log g - S(r) is
+        linear in r, so one Newton step from the size facet r_hi lands on
+        its root, to the rounding of that step; on a single level the
+        one-point grid gives the same ratio at beta = 0."""
+        h = HamiltonianSpec(levels)
+        y_rho, y_sigma = ConePoint(*rho), ConePoint(*sigma)
+        log_g = math.log(2 if len(levels) > 1 else levels[0][1])
+        want = (y_rho.entropy - y_rho.size * log_g) / (y_sigma.entropy - y_sigma.size * log_g)
+        res = r_max(h, y_rho, y_sigma)
+        assert abs(res.rate_bisect - want) <= 2 * math.ulp(y_rho.size / y_sigma.size)
+        if len(levels) == 1:
+            assert abs(res.rate_monotone - want) <= 2 * math.ulp(want)
+            assert res.argmin_beta == 0.0
+
+    def test_single_level_without_entropy(self):
+        # no monotone has a positive denominator: the rate is the size ratio
+        h = HamiltonianSpec(((0.5, 1),))
+        res = r_max(h, ConePoint(1.0, 0.0, 2.0), ConePoint(0.5, 0.0, 1.0))
+        assert (res.rate_bisect, res.rate_monotone, res.argmin_beta) == (2.0, 2.0, None)
+
     def test_source_on_boundary_gives_zero(self):
         h = HamiltonianSpec(((-0.5, 2), (0.25, 1), (1.5, 3)))
         for beta in (-1.2, 0.3, 2.0):

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from thermocone import (
+    DecompositionWeights,
     DomainError,
     ValidationError,
     HamiltonianSpec,
@@ -22,10 +24,11 @@ from thermocone import (
     w_max,
 )
 
-from thermocone.thermal import beta_cap, log_partition
+from thermocone.thermal import beta_cap
 
 import frozen_values as fv
 from conftest import random_density_matrix, random_hamiltonian, well_gapped_hamiltonian
+from mp_thermal import mp_thermal_point
 
 
 def facet_grid(h, points=2001):
@@ -62,20 +65,21 @@ class TestAthermality:
             for beta in rng.uniform(-4, 4, size=5):
                 assert athermality(h, x, float(beta)) >= -1e-10
 
-    def test_matches_array_kernel(self):
-        """The scalar path agrees with ``log_partition`` to 2 ulp of the
-        terms' scale, also for |beta| beyond the cap, where the weights of
-        levels close to the extreme one are still resolved."""
+    def test_matches_high_precision_log_partition(self):
+        """A_beta agrees with a 40-digit reference to 2 ulp of the terms'
+        scale, also for |beta| beyond the cap, where the weights of levels
+        close to the extreme one are still resolved."""
         rng = np.random.default_rng(15)
-        for _ in range(60):
-            h = random_hamiltonian(rng, d_min=2, d_max=6, degenerate=True)
-            x = macrostate_of(QuantumState.from_matrix(random_density_matrix(rng, h.dim)), h)
-            for beta in rng.uniform(-3.0, 3.0, size=8) * beta_cap(h):
-                beta = float(beta)
-                log_z = float(log_partition(h, beta)[0])
-                scale = abs(beta * x.energy) + x.entropy + abs(log_z)
-                want = beta * x.energy - x.entropy + log_z
-                assert abs(athermality(h, x, beta) - want) <= 2 * math.ulp(scale)
+        with mpmath.workdps(40):
+            for _ in range(60):
+                h = random_hamiltonian(rng, d_min=2, d_max=6, degenerate=True)
+                x = macrostate_of(QuantumState.from_matrix(random_density_matrix(rng, h.dim)), h)
+                for beta in rng.uniform(-3.0, 3.0, size=8) * beta_cap(h):
+                    beta = float(beta)
+                    log_z = mp_thermal_point(h.levels, mpmath.mpf(beta))[0]
+                    scale = abs(beta * x.energy) + x.entropy + abs(float(log_z))
+                    want = mpmath.mpf(beta) * x.energy - x.entropy + log_z
+                    assert abs(athermality(h, x, beta) - want) <= 2 * math.ulp(scale)
 
 
 class TestMaxEntropy:
@@ -250,3 +254,25 @@ class TestWmax:
         for _ in range(200):
             rho = random_density_matrix(rng, 2)
             assert w_max(qubit, QuantumState.from_matrix(rho)) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        (lambda h: athermality(h, Macrostate(0.5, 0.1), math.inf), ValidationError, "bad-beta"),
+        (lambda h: athermality(h, Macrostate(0.5, 0.1), -math.inf), ValidationError, "bad-beta"),
+        (lambda h: facet_check(h, Macrostate(0.5, 0.1), []), ValidationError, "bad-grid"),
+        (lambda h: combine_macrostates([]), ValidationError, "empty-mix"),
+        (lambda h: combine_macrostates([(Macrostate(0.5, 0.1), 0.0)]), ValidationError, "bad-copy-count"),
+        (lambda h: DecompositionWeights(-0.1, 0.6, 0.5), ValidationError, "bad-weights"),
+        (lambda h: DecompositionWeights(0.5, 0.5, 0.5), ValidationError, "bad-weights"),
+        (lambda h: decompose(h, Macrostate(0.5, 0.1), math.inf), DomainError, "infeasible-beta"),
+        (lambda h: decompose(h, Macrostate(0.5, 0.6), 3.0), DomainError, "infeasible-decomposition"),
+    ],
+    ids=["athermality-inf", "athermality-minus-inf", "empty-facet-grid", "empty-mix", "zero-copy-count",
+         "negative-weight", "weights-sum", "zero-thermal-entropy", "c-beta-above-1"],
+)
+def test_error_codes(qubit, call, error, code):
+    with pytest.raises(error) as err:
+        call(qubit)
+    assert err.value.code == code

@@ -248,3 +248,20 @@ class TestPreconditions:
         macro = QuantumState.from_macro(0.5, 0.2)
         with pytest.raises(ValidationError):
             build_energy_preserving_dilation(qubit, np.eye(2), macro, macro, m_range(3), delta=0.5)
+
+
+@pytest.mark.parametrize(
+    "unitary, rho, delta, code",
+    [
+        (np.eye(2), np.diag([0.0, 1.0]), 0.0, "bad-delta"),
+        (np.eye(2), np.diag([0.0, 1.0]), 1.0, "bad-delta"),
+        (np.eye(3), np.diag([0.0, 1.0]), 0.5, "dimension-mismatch"),
+        (np.eye(2), np.diag([0.0, 0.5, 0.5]), 0.5, "dimension-mismatch"),
+    ],
+    ids=["delta-zero", "delta-one", "unitary-dimension", "state-dimension"],
+)
+def test_error_codes(qubit, unitary, rho, delta, code):
+    state = QuantumState.from_matrix(rho)
+    with pytest.raises(ValidationError) as err:
+        build_energy_preserving_dilation(qubit, unitary, state, state, m_range(3), delta=delta)
+    assert err.value.code == code

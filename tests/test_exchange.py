@@ -11,6 +11,7 @@ from thermocone import (
     QuantumState,
     ValidationError,
     athermality,
+    beta_cap,
     beta_eff,
     engine_efficiencies,
     erasure_work,
@@ -137,6 +138,33 @@ class TestWorkHeat:
         assert res_b.m_over_n == pytest.approx(res_a.m_over_n, abs=1e-9)
 
 
+class TestCurveSteps:
+    """Each reservoir's (dS, dE) step is taken once: two thermal points per
+    reservoir, shared by its chord slope and its size."""
+
+    @staticmethod
+    def count_points(monkeypatch):
+        from thermocone import thermal
+
+        calls = []
+        unit_point = thermal._unit_point
+        monkeypatch.setattr(thermal, "_unit_point", lambda h, beta: calls.append(beta) or unit_point(h, beta))
+        return calls
+
+    def test_work_heat(self, qubit, monkeypatch):
+        # the README's library example
+        spec = ExchangeSpec(qubit, QuantumState.from_spectrum([0.75, 0.25], 0.25),
+                            QuantumState.from_spectrum([0.5, 0.5], 0.5), beta1=1.0, beta2=2.0)
+        calls = self.count_points(monkeypatch)
+        work_heat(spec)
+        assert calls == [1.0, 2.0]
+
+    def test_engine(self, qubit, monkeypatch):
+        calls = self.count_points(monkeypatch)
+        engine_efficiencies(qubit, 2.0, 1.5, 1.0, 0.5)
+        assert calls == [2.0, 1.5, 0.5, 1.0]
+
+
 class TestErasure:
     def test_noop(self, qubit):
         assert erasure_work(qubit, SIGMA, SIGMA, 2.0, 1.0) == 0.0
@@ -217,3 +245,19 @@ class TestEngine:
             engine_efficiencies(qubit, 1.0, 1.5, 1.0, 0.5)
         with pytest.raises(DomainError):
             engine_efficiencies(qubit, 2.0, 1.5, 1.0, -0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        (lambda h: beta_eff(h, math.nan, 1.0), ValidationError, "bad-beta"),
+        (lambda h: beta_eff(h, 1.0, math.nan), ValidationError, "bad-beta"),
+        # beyond the cap the qubit's upper weight exp(-750) underflows to 0
+        (lambda h: reservoir_size_for_epsilon(h, RHO, SIGMA, 2.0 * beta_cap(h), 0.01), DomainError, "zero-variance"),
+    ],
+    ids=["beta-eff-nan-1", "beta-eff-nan-2", "zero-variance-beyond-cap"],
+)
+def test_error_codes(qubit, call, error, code):
+    with pytest.raises(error) as err:
+        call(qubit)
+    assert err.value.code == code

@@ -205,3 +205,15 @@ class TestMinimizeScalar:
             minimize_scalar(f, [0.0, 1.0], refine_tol=1e-6)
         with pytest.raises(ValidationError):
             minimize_scalar(f, [1.0, 1.0, 1.0], refine_tol=1e-6)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)], ids=["inf-hi", "inf-lo", "nan-lo"])
+def test_non_finite_bracket_refused(lo, hi):
+    with pytest.raises(ValidationError) as err:
+        Bracket(lo, hi)
+    assert err.value.code == "bad-bracket"
+
+
+@pytest.mark.parametrize("root", [0.0, 1.0], ids=["lo", "hi"])
+def test_exact_zero_at_bracket_end_is_returned(root):
+    assert solve_root_bracketed(lambda x: (x - root, 1.0), Bracket(0.0, 1.0)) == root

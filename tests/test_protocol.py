@@ -317,8 +317,26 @@ class TestEntropyProtocol:
         with pytest.raises(DomainError):
             run_entropy_protocol(p, p, 8, ancilla_bits=20, outcome_cap=2**16)
 
+    @pytest.mark.parametrize("cap", [-1, 0, 2**63])
+    def test_cap_outside_range_refused(self, cap):
+        p = Distribution((0.5, 0.5))
+        with pytest.raises(ValidationError) as err:
+            run_entropy_protocol(p, p, 4, ancilla_bits=0, outcome_cap=cap)
+        assert err.value.code == "bad-outcome-cap"
+        assert run_entropy_protocol(p, p, 4, ancilla_bits=0, outcome_cap=16).n == 4
+
     def test_default_ancilla_bits_formula(self):
         p = Distribution((0.7, 0.3))
         from thermocone.protocol import default_ancilla_bits
 
         assert default_ancilla_bits(p, 10) == round(3 * math.sqrt(10 * math.log2(10)) * p.shannon_bits())
+
+
+def test_typical_set_needs_a_copy():
+    with pytest.raises(ValidationError) as err:
+        typical_set(Distribution((0.7, 0.3)), 0)
+    assert err.value.code == "bad-copy-count"
+
+
+def test_single_copy_needs_no_ancilla():
+    assert protocol.default_ancilla_bits(Distribution((0.7, 0.3)), 1) == 0

@@ -182,3 +182,19 @@ class TestDoublingK:
             slope = np.polyfit(np.log(np.arange(1, 13)), np.log(sizes), 1)[0]
             assert slope <= 4.0
             assert all(b >= a for a, b in zip(sizes, sizes[1:]))
+
+
+@pytest.mark.parametrize(
+    "call, code",
+    [
+        (lambda l: k_fold(l, 0), "bad-k"),
+        (lambda l: find_doubling_k(l, 0.5, 0), "bad-k"),
+        (lambda l: find_doubling_k(l, 0.0, 4), "bad-delta"),
+        (lambda l: find_doubling_k(l, 1.0, 4), "bad-delta"),
+    ],
+    ids=["k-fold-zero", "k-max-zero", "delta-zero", "delta-one"],
+)
+def test_error_codes(call, code):
+    with pytest.raises(ValidationError) as err:
+        call(LevelSet((0, 1)))
+    assert err.value.code == code

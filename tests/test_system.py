@@ -6,8 +6,10 @@ import pytest
 
 from thermocone import (
     ConePoint,
+    DomainError,
     ExchangeSpec,
     HamiltonianSpec,
+    Macrostate,
     QuantumState,
     ValidationError,
     cone_point_of,
@@ -295,3 +297,23 @@ class TestStateJson:
         for payload in ("{}", '{"spectrum": [1.0]}', '{"macro": {"E": 1}}', "[1, 2]"):
             with pytest.raises(ValidationError):
                 state_from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        (lambda h: HamiltonianSpec(((0.0, 1), ("inf", 1))), ValidationError, "bad-level"),
+        (lambda h: Macrostate(math.nan, 0.1), ValidationError, "bad-macrostate"),
+        (lambda h: Macrostate(0.5, math.inf), ValidationError, "bad-macrostate"),
+        (lambda h: ConePoint(0.0, 0.0, 0.0).normalized(), DomainError, "zero-size"),
+        (lambda h: QuantumState(spectrum=(0.5, 0.5)), ValidationError, "bad-state"),
+        (lambda h: validate_state(QuantumState.from_spectrum([0.5, 0.5], 2.0), h), ValidationError,
+         "energy-out-of-range"),
+    ],
+    ids=["infinite-level", "nan-energy", "infinite-entropy", "normalize-zero-size", "spectrum-without-energy",
+         "spectral-energy-outside"],
+)
+def test_error_codes(qubit, call, error, code):
+    with pytest.raises(error) as err:
+        call(qubit)
+    assert err.value.code == code

@@ -6,6 +6,7 @@ import pytest
 from thermocone import (
     DomainError,
     HamiltonianSpec,
+    ValidationError,
     beta_cap,
     beta_from_energy,
     beta_from_entropy,
@@ -335,3 +336,21 @@ class TestInverseEvaluationCount:
                         assert thermal._moments(h, beta)[1] > eps
                     else:
                         assert thermal_point(h, beta).entropy == pytest.approx(target, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        (lambda h: thermal_point(h, math.nan), ValidationError, "bad-beta"),
+        (lambda h: thermal_points(h, [0.0, math.nan]), ValidationError, "bad-beta"),
+        (lambda h: energy_variance(h, math.inf), ValidationError, "bad-beta"),
+        (lambda h: energy_variance(h, -math.inf), ValidationError, "bad-beta"),
+        (lambda h: beta_from_entropy(h, 0.5, branch="both"), ValidationError, "bad-branch"),
+        (lambda h: beta_from_entropy(h, math.log(2.0) + 1e-9), DomainError, "entropy-out-of-range"),
+    ],
+    ids=["point-nan", "points-nan", "variance-inf", "variance-minus-inf", "entropy-branch", "entropy-above-log-d"],
+)
+def test_error_codes(qubit, call, error, code):
+    with pytest.raises(error) as err:
+        call(qubit)
+    assert err.value.code == code
