@@ -2,10 +2,11 @@
 
 Builds the workload's operation list with ``bench/workloads.py``, runs
 one warm-up round, then counts the calls of ``thermal._shifted_weights``
-(every scalar kernel evaluation) and of ``thermal._moments`` (the
-inverse solvers' share of them) over one more round. Only ``thermal``
-looks these names up, so patching that module counts every call. Prints
-one JSON line.
+(every scalar kernel evaluation) and of its two entry points,
+``thermal._moments`` (the inverse solvers) and ``thermal._unit_point``
+(one thermal point; on the plateau it sums no weights), over one more
+round. Each name is replaced in every thermocone module that holds it,
+so calls from other modules are counted too. Prints one JSON line.
 
 Usage, from the root of a checkout: python scripts/kernel_calls.py WORKLOAD [SEED]
 """
@@ -18,11 +19,12 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
+import thermocone  # noqa: E402
 from thermocone import thermal  # noqa: E402
 
 import workloads  # noqa: E402
 
-NAMES = ("_shifted_weights", "_moments")
+NAMES = ("_shifted_weights", "_moments", "_unit_point")
 
 
 def run_round(ops) -> int:
@@ -52,13 +54,16 @@ def main(argv) -> int:
             return fn(*args)
         return wrapper
 
-    for name, fn in originals.items():
-        setattr(thermal, name, counting(name, fn))
+    holders = [(module, name, fn) for module in list(sys.modules.values())
+               if getattr(module, "__name__", "").startswith(thermocone.__name__)
+               for name, fn in originals.items() if getattr(module, name, None) is fn]
+    for module, name, fn in holders:
+        setattr(module, name, counting(name, fn))
     try:
         failed = run_round(ops)
     finally:
-        for name, fn in originals.items():
-            setattr(thermal, name, fn)
+        for module, name, fn in holders:
+            setattr(module, name, fn)
     print(json.dumps({"workload": workload, "seed": seed, "ops": len(ops), "failed": failed,
                       **{name.lstrip("_"): calls[name] for name in NAMES}}))
     return 0

@@ -8,7 +8,12 @@ in command-line order, so the first bad one is the one reported.
 Outputs are JSON or CSV. Each float is rounded to 12 significant digits
 and printed as the shortest text that reads back as the rounded value
 (``repr`` of it); non-finite values print as ``+inf``, ``-inf`` and
-``nan`` (strings in JSON). Repeat runs are byte-identical. A sweep's
+``nan`` (strings in JSON). A key that compares two computed quantities
+(``rate``'s ``agreement_gap``, ``dilate``'s ``output_distance``) prints
+as 0.0 below 64 units of roundoff at the scale of what it compares (the
+larger of 1 and the two rates; the trace norm 1), where its digits are
+rounding noise; the library's results keep the raw floats. Repeat runs
+are byte-identical. A sweep's
 float64 columns go through an array kernel that prints every value as
 the scalar formatter does, byte for byte, and passes it the values it
 cannot settle.
@@ -347,6 +352,13 @@ _CHUNK = 8192  # curve rows computed, formatted and written at a time
 _MAX_SAMPLES = 10**7  # curve's --samples bound; a sample prints as about 60 bytes of CSV or 110 of JSON
 # output keys that differ from the field names of the result dataclasses
 _RENAMES = {"work": "W", "heat": "Q", "q_hot": "Q_hot", "q_cold": "Q_cold"}
+# the print rule for keys that compare two computed quantities: each
+# key's scale, in the units of roundoff of ``_ROUNDOFF``
+_ROUNDOFF = 64.0 * sys.float_info.epsilon
+_GAP_SCALES = {
+    "agreement_gap": lambda r: max(1.0, abs(r["rate_bisect"]), abs(r["rate_monotone"])),
+    "output_distance": lambda r: 1.0,
+}
 
 
 def _row(record: dict) -> dict[str, list]:
@@ -355,8 +367,12 @@ def _row(record: dict) -> dict[str, list]:
 
 
 def _record(result) -> dict[str, list]:
-    """A result dataclass as a one-row table."""
-    return _row({_RENAMES.get(k, k): v for k, v in dataclasses.asdict(result).items()})
+    """A result dataclass as a one-row table, with the print rule for gaps applied."""
+    record = {_RENAMES.get(k, k): v for k, v in dataclasses.asdict(result).items()}
+    for key, scale in _GAP_SCALES.items():
+        if key in record and abs(record[key]) < _ROUNDOFF * scale(record):
+            record[key] = 0.0
+    return _row(record)
 
 
 def _cmd_curve(args):

@@ -11,11 +11,31 @@ two independent ways:
 * ``rate_bisect``: the boundary test along y(r) = y_rho - r*y_sigma,
   i.e. push r up to where the ray leaves the cone (authoritative). The
   first linear facet the ray crosses (size, entropy, ground or top edge,
-  each in closed form) bounds r; below it, the slack of the curved facet,
-  g(r) = n*S_max(E/n) - S, is concave in r with slope -A_beta(y_sigma),
-  so one bracketed Newton solve from the right end finds where it
-  vanishes. The name is kept from an earlier membership bisection, so
-  that stored outputs keep their keys;
+  each in closed form) bounds r at r_hi; below it the ray leaves where
+  the slack of the curved facet, g = n*S_max(E/n) - S, vanishes. The
+  solve runs in beta: on that facet E/n = E(beta), so
+  r(beta) = (E_rho - n_rho E(beta)) / (E_sigma - n_sigma E(beta)) in
+  closed form, and g at r(beta), times |E_sigma - n_sigma E(beta)| so
+  that no step divides, costs one thermal point per Newton step in
+  t = beta*unit. The steps start at the beta of r = 0; the bracket's far
+  end is the beta already solved for at r_hi. The rate is the r-space
+  Newton step (g' = -A_beta(y_sigma)) from the evaluated point where that
+  weighted |g| is least: its error is second order in the point's
+  distance from the root, so it stays accurate where r(beta) is steep.
+  ``tol``, a relative width in r, becomes a width in t through the bound
+  Var <= span^2/4.
+  Three cases need care; at a fixed thermal entropy s, g is linear in r
+  with root (n_rho s - S_rho) / (n_sigma s - S_sigma):
+  - a vertical ray, n_sigma E_rho = n_rho E_sigma to rounding (a single
+    level, a ray along an edge): E/n stays E_rho/n_rho, where s = S_max;
+  - an end on an edge or at the apex: its beta is -+beta_cap, with the
+    sign of n_sigma E_rho - n_rho E_sigma at the r_hi end;
+  - the band beyond +-beta_cap, where ``beta_from_energy`` returns the
+    cap, so S_max is s = S(+-cap): if g changes sign there, the root is
+    the linear one.
+  The name is kept from an earlier membership bisection, so that stored
+  outputs keep their keys. The boundary test never uses the A_beta
+  minimiser, so it stays independent of the monotone ratio;
 * ``rate_monotone``: the smallest ratio of an additive monotone
   (entropy, the A_beta family, and the two energy-edge functionals) on
   rho versus sigma, skipping zero denominators (cross-check).
@@ -35,12 +55,11 @@ from .diagram import (
     Verdict,
     check_tolerance,
     diagram_contains,
-    max_entropy_at_energy,
 )
 from .errors import DomainError
 from .numerics import Bracket, minimize_scalar, solve_root_bracketed
 from .system import ConePoint, HamiltonianSpec
-from .thermal import _T_CAP, _unit_point, beta_from_energy, log_partition, thermal_point
+from .thermal import _T_CAP, _unit_point, beta_cap, beta_from_energy, log_partition
 
 __all__ = ["ConePoint", "RateResult", "cone_contains", "edge_monotones", "dominates", "r_max"]
 
@@ -101,23 +120,101 @@ def _slack(y: ConePoint, beta, log_z):
     return beta * y.energy - y.entropy + y.size * log_z
 
 
-def _boundary_slack(h: HamiltonianSpec, y_rho: ConePoint, y_sigma: ConePoint, r: float):
-    """(g, g') at y = y_rho - r*y_sigma, where g = n*S_max(E/n) - S is the
-    slack of the curved facet and g' = -A_beta(y_sigma) at the thermal
-    point of energy E/n. At E/n = E_min or E_max with the target's E/n
-    there too, the ray runs along that edge and g = n*log g_edge - S is
-    linear in r. The slope is nan where it does not exist: where the ray
-    crosses an edge, and at the apex n <= 0, where g is -S."""
-    y = y_rho - y_sigma.scaled(r)
-    if y.size <= 0.0:
-        return -y.entropy, math.nan
-    e = min(max(y.energy / y.size, h.e_min), h.e_max)
-    if h.e_min < e < h.e_max:
-        tp = thermal_point(h, beta_from_energy(h, e))
-        return y.size * tp.entropy - y.entropy, -_slack(y_sigma, tp.beta, tp.log_z)
-    s_edge = max_entropy_at_energy(h, e)
-    along = abs(y_sigma.energy - y_sigma.size * e) <= h.energy_tol(1e-12 * max(1.0, abs(y_sigma.size)))
-    return y.size * s_edge - y.entropy, (y_sigma.entropy - y_sigma.size * s_edge) if along else math.nan
+def _boundary_rate(h: HamiltonianSpec, y_rho: ConePoint, y_sigma: ConePoint, r_hi: float, floor: float,
+                   tol: float) -> float:
+    """``rate_bisect``: where y(r) = y_rho - r*y_sigma leaves the cone, at
+    r_hi > 0 or at the root of the curved facet's slack g below it, solved
+    in beta as the module docstring describes. A step below ``tol`` relative
+    to r_hi moves r by at most that much, since Var <= span^2/4."""
+    point = functools.cache(functools.partial(_unit_point, h))
+    cap = beta_cap(h)
+    n_rho, n_sigma = y_rho.size, y_sigma.size
+
+    def end(y: ConePoint) -> tuple[float, float, float]:
+        """(g, S_max(E/n), beta) at y: beta is +-cap on or beyond an edge, nan at the apex n <= 0."""
+        if y.size <= 0.0:
+            return -y.entropy, 0.0, math.nan
+        e = y.energy / y.size
+        if h.e_min < e < h.e_max:
+            beta = beta_from_energy(h, e)
+            s = point(beta)[3]
+        else:
+            beta, s = (cap, math.log(h.g_ground)) if e <= h.e_min else (-cap, math.log(h.g_top))
+        return y.size * s - y.entropy, s, beta
+
+    def linear_root(s: float) -> float:
+        """The root of g = n(r)*s - S(r), linear in r while E/n keeps the entropy s."""
+        den = n_sigma * s - y_sigma.entropy
+        return min(max((n_rho * s - y_rho.entropy) / den, 0.0), r_hi) if den > 0.0 else r_hi
+
+    g_hi, _, beta_hi = end(y_rho - y_sigma.scaled(r_hi))
+    if g_hi >= -floor:
+        return r_hi  # a linear facet binds
+    g_0, s_0, beta_0 = end(y_rho)
+    if g_0 <= 0.0:
+        return 0.0  # the source sits on the boundary
+    # d = n_sigma*E_rho - n_rho*E_sigma: E/n moves along the ray with the
+    # sign of d, and does not move where d is 0 to the rounding of its terms
+    d_rho, d_sigma = n_sigma * (y_rho.energy - n_rho * h.e_min), n_rho * (y_sigma.energy - n_sigma * h.e_min)
+    d = d_rho - d_sigma
+    if not h.span or abs(d) <= 4.0 * math.ulp(1.0) * (abs(d_rho) + abs(d_sigma)):
+        return linear_root(s_0)  # a vertical ray: E/n stays put
+
+    # where E/n = E(beta), r = a_rho/a_sigma with a_y = E_y - n_y*E(beta),
+    # and a_sigma = -d/n(r) has the sign of -d: so f = |a_sigma|*g has g's
+    # sign and root with no division, and its t-derivative,
+    # |a_sigma|*g' + g*d|a_sigma|/dt, is -+(Var/unit)*(n_rho S_sigma - n_sigma S_rho + beta*d)
+    side = -math.copysign(1.0, d)
+    k = n_rho * y_sigma.entropy - n_sigma * y_rho.entropy
+
+    def at(beta: float) -> tuple[float, float, float, float]:
+        """(f, df/dt, |a_sigma|, the r-space Newton step r - g/g') where
+        E/n = E(beta); the step is A_beta(y_rho)/A_beta(y_sigma), as
+        g' = -A_beta(y_sigma)."""
+        ref, _, rel, s, var = point(beta)
+        a_rho, a_sigma = ((y.energy - y.size * ref) - y.size * rel * h.unit for y in (y_rho, y_sigma))
+        c_rho, c_sigma = n_rho * s - y_rho.entropy, n_sigma * s - y_sigma.entropy
+        f = side * (a_sigma * c_rho - a_rho * c_sigma)
+        a_sigma_beta = beta * a_sigma + c_sigma
+        step = (beta * a_rho + c_rho) / a_sigma_beta if a_sigma_beta > 0.0 else math.nan
+        return f, side * var * h.unit * (k + beta * d), abs(a_sigma), step
+
+    # an end on an edge, at the apex or in the band beyond the cap is the
+    # cap point; where g changes sign in the band, g is linear there
+    known = {}
+    if abs(beta_0) == cap:
+        if at(beta_0)[0] <= 0.0:
+            return linear_root(point(beta_0)[3])
+    else:
+        known[beta_0] = g_0
+    if math.isnan(beta_hi) or abs(beta_hi) == cap:
+        beta_hi = -math.copysign(cap, d) if math.isnan(beta_hi) else beta_hi
+        if at(beta_hi)[0] >= 0.0:
+            return linear_root(point(beta_hi)[3])
+    else:
+        known[beta_hi] = g_hi
+    if beta_0 == beta_hi:
+        return linear_root(s_0)
+
+    # Newton steps in t = beta*unit from the source's end; the rate is the
+    # r-space Newton step from the evaluated point of least |f| (the solver
+    # returns its last step's end, which it does not evaluate)
+    best = [math.inf, r_hi]
+
+    def f(t: float) -> tuple[float, float]:
+        beta = t / h.unit
+        value, slope, scale, step = at(beta)
+        if beta in known:
+            value = scale * known[beta]
+        if abs(value) < best[0] and math.isfinite(step):
+            best[:] = abs(value), step
+        return value, slope
+
+    n_max = max(n_rho, n_rho - r_hi * n_sigma)
+    tol_t = 4.0 * tol * max(1.0, r_hi) * abs(d) * h.unit / (n_max * h.span) ** 2
+    t_0, t_hi = beta_0 * h.unit, beta_hi * h.unit
+    solve_root_bracketed(f, Bracket(min(t_0, t_hi), max(t_0, t_hi), tolerance=max(tol_t, math.ulp(1.0))), x0=t_0)
+    return min(max(best[1], 0.0), r_hi)
 
 
 def r_max(
@@ -201,17 +298,7 @@ def r_max(
         candidates.append((y_rho.size / y_sigma.size, None))
     rate_monotone, argmin_beta = min(candidates, key=lambda c: c[0])
 
-    # the boundary test: where the ray leaves the cone, at r_hi or where
-    # the curved facet's slack g vanishes below it
-    slack = functools.cache(lambda r: _boundary_slack(h, y_rho, y_sigma, r))
-    if r_hi <= 0.0 or slack(r_hi)[0] >= -floor:
-        rate_bisect = r_hi  # a linear facet binds
-    elif slack(0.0)[0] <= 0.0:
-        rate_bisect = 0.0  # the source sits on the boundary
-    else:
-        # g is concave, so Newton steps from the right end never overshoot
-        bracket = Bracket(0.0, r_hi, tolerance=tol * max(1.0, r_hi))
-        rate_bisect = solve_root_bracketed(slack, bracket, x0=r_hi)
+    rate_bisect = _boundary_rate(h, y_rho, y_sigma, r_hi, floor, tol) if r_hi > 0.0 else r_hi
 
     return RateResult(
         rate_bisect=rate_bisect,

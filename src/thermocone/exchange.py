@@ -107,7 +107,21 @@ def _chord_slope(h: HamiltonianSpec, beta1: float, beta2: float, step=None) -> f
     if abs(beta1 - beta2) * h.span < 1e-6 * (1.0 + abs(beta1) * h.span):
         return 0.5 * (beta1 + beta2)
     ds, de = step or _curve_step(h, beta1, beta2)
+    if de == 0.0:
+        raise DomainError(
+            "flat-curve",
+            f"the thermal curve is flat between beta {beta1} and {beta2}, both on one plateau: "
+            "the reservoir takes up no energy and has no chord slope",
+        )
     return ds / de
+
+
+def _nonzero_beta(b_eff: float) -> float:
+    """``b_eff``, which W and Q divide by; 0 is an infinite-temperature reservoir, where they are undefined."""
+    if b_eff == 0.0:
+        raise DomainError("infinite-temperature", "beta_eff is 0: against an infinite-temperature reservoir "
+                          "W and Q = -dS/beta_eff are undefined")
+    return b_eff
 
 
 def _reservoir_ratio(ds_reservoir: float, x_rho: Macrostate, x_sigma: Macrostate) -> float:
@@ -145,7 +159,7 @@ def work_heat(spec: ExchangeSpec) -> ExchangeResult:
     x_rho, x_sigma = macrostate_of(spec.rho, h), macrostate_of(spec.sigma, h)
     step = _curve_step(h, spec.beta1, spec.beta2)
     m_over_n = _reservoir_ratio(step[0], x_rho, x_sigma)
-    b_eff = _chord_slope(h, spec.beta1, spec.beta2, step)
+    b_eff = _nonzero_beta(_chord_slope(h, spec.beta1, spec.beta2, step))
     work = (x_rho.energy - x_sigma.energy) - (x_rho.entropy - x_sigma.entropy) / b_eff
     heat = (x_sigma.entropy - x_rho.entropy) / b_eff
     return ExchangeResult(
@@ -174,7 +188,7 @@ def erasure_work(
             "energy-mismatch",
             f"erasure requires equal energies, got {x_rho.energy} vs {x_sigma.energy}",
         )
-    return (x_rho.entropy - x_sigma.entropy) / beta_eff(h, beta1, beta2)
+    return (x_rho.entropy - x_sigma.entropy) / _nonzero_beta(beta_eff(h, beta1, beta2))
 
 
 def reservoir_size_for_epsilon(

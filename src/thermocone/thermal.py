@@ -11,14 +11,20 @@ beyond ``beta_cap`` the curve is numerically flat and the exact plateau
 values are returned. One formula has two kernels. The scalar one has two
 entry points: ``_unit_point`` for one point (``thermal_point``,
 ``energy_variance``, ``exchange``'s curve step and ``cone.r_max``'s ratio
-refinement) and ``_moments`` for the inverse solvers. The array one serves
-``thermal_points`` and ``log_partition`` (A_beta in ``diagram`` and
-``cone``); no other module sums weights. Both add their sums in level
-order with plain floating-point additions, on every supported Python
-(``sum()`` over floats is compensated from Python 3.12 on, so neither
-kernel uses it). Their weights come from ``math.exp`` and ``np.exp``,
-which may differ in the last bit (numpy's AVX-512 exp does), so the two
-kernels agree to a few ulp, and bit for bit where their weights agree.
+refinement and boundary solve) and ``_moments`` for the inverse solvers.
+The array one serves ``thermal_points`` and ``log_partition`` (A_beta in
+``diagram`` and ``cone``); no other module sums weights. Every inverse
+solve starts at t = 0 and is bracketed by the cap, so the moments at
+those two ends are kept on the ``HamiltonianSpec`` after its first solve
+on each side of beta = 0, and a later solve there pays only for its
+Newton steps; the spec also keeps its last solved betas by target, so a
+target asked for again is not solved again. Both kernels add their sums
+in level order with plain floating-point additions, on every supported
+Python (``sum()`` over floats is compensated from Python 3.12 on, so
+neither kernel uses it). Their weights come from ``math.exp`` and
+``np.exp``, which may differ in the last bit (numpy's AVX-512 exp does),
+so the two kernels agree to a few ulp, and bit for bit where their
+weights agree.
 """
 
 from __future__ import annotations
@@ -200,19 +206,48 @@ def _moments(h: HamiltonianSpec, t: float) -> tuple[float, float, float]:
     return rel, math.log1p(rest / g_ref) + t * rel, var
 
 
+_SOLVED_KEPT = 32  # solved betas kept per spec, the oldest dropped first
+
+
+def _solved(h: HamiltonianSpec, key: tuple, solve) -> float:
+    """``solve()``, kept on ``h`` under ``key`` for the last ``_SOLVED_KEPT``
+    keys: one question about a state inverts its energy for the diagram
+    verdict, the cone's member check and ``r_max``'s ray end alike."""
+    kept = vars(h).setdefault("_solved", {})
+    beta = kept.get(key)
+    if beta is None:
+        beta = kept[key] = solve()
+        if len(kept) > _SOLVED_KEPT:
+            del kept[next(iter(kept))]
+    return beta
+
+
+def _fold_end(h: HamiltonianSpec, sign: float, t: float) -> tuple[float, float, float]:
+    """``_moments`` at sign*t for t = 0 or t = beta_cap*unit, the ends of
+    every fold solve on that side: constants of (h, sign), computed on the
+    first solve that reaches them and kept on ``h``, as ``cached_property``
+    keeps ``dim``."""
+    ends = vars(h).setdefault("_fold_ends", {})
+    m = ends.get((sign, t))
+    if m is None:
+        m = ends[sign, t] = _moments(h, sign * t)
+    return m
+
+
 def _fold_solve(h: HamiltonianSpec, sign: float, gap, target: float, start) -> float:
     """beta = sign*t/unit solving gap(moments at sign*t, t) = target on
     [0, beta_cap*unit], where ``gap`` gives the distance of E/unit or S
     from its plateau and the t-derivative: 0 if the target is met at t = 0.
     Newton steps from ``start(moments at t = 0)`` act on log(gap/target),
-    almost linear as the gap decays; sign*beta_cap if it is not reached."""
-    m0 = _moments(h, sign * 0.0)
+    almost linear as the gap decays; sign*beta_cap if it is not reached.
+    The moments at both ends come from ``_fold_end``."""
+    m0 = _fold_end(h, sign, 0.0)
     if gap(m0, 0.0)[0] <= target:
         return 0.0
     cap = beta_cap(h) * h.unit
 
     def f(t):
-        g, slope = gap(m0 if t == 0.0 else _moments(h, sign * t), t)
+        g, slope = gap(_fold_end(h, sign, t) if t == 0.0 or t == cap else _moments(h, sign * t), t)
         return (math.log(g / target), slope / g) if g > 0.0 else (-math.inf, 0.0)
 
     try:
@@ -238,7 +273,8 @@ def beta_from_energy(h: HamiltonianSpec, energy: float) -> float:
     # d(E/unit)/dt = -Var/unit^2
     sign = 1.0 if energy < h.mixed_energy else -1.0
     target = sign * (energy - (h.e_min if sign > 0 else h.e_max)) / h.unit
-    return _fold_solve(h, sign, lambda m, t: (sign * m[0], -m[2]), target, lambda m0: 0.0)
+    return _solved(h, ("energy", energy),
+                   lambda: _fold_solve(h, sign, lambda m, t: (sign * m[0], -m[2]), target, lambda m0: 0.0))
 
 
 def beta_from_entropy(h: HamiltonianSpec, entropy: float, branch: str = "positive") -> float:
@@ -268,7 +304,8 @@ def beta_from_entropy(h: HamiltonianSpec, entropy: float, branch: str = "positiv
     # dS/dt vanishes at t = 0, so start from the quadratic model
     # S ~ log d - t^2 Var(0)/(2 unit^2) instead of the endpoint
     start = lambda m0: math.sqrt(2.0 * (m0[1] - target) / m0[2])
-    return _fold_solve(h, sign, lambda m, t: (m[1], -t * m[2]), target, start)
+    return _solved(h, ("entropy", entropy, branch),
+                   lambda: _fold_solve(h, sign, lambda m, t: (m[1], -t * m[2]), target, start))
 
 
 def energy_variance(h: HamiltonianSpec, beta: float) -> float:

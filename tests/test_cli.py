@@ -22,9 +22,12 @@ from hypothesis import strategies as st
 
 from conftest import random_hamiltonian
 from thermocone import ValidationError, beta_cap, cli, hamiltonian_from_json, thermal_point, thermal_points
+from thermocone.cone import RateResult
+from thermocone.dilation import build_energy_preserving_dilation
 from thermocone.cli import main
 
 QUBIT = '{"levels":[{"energy":0.0,"degeneracy":1},{"energy":1.0,"degeneracy":1}]}'
+SAME_STATE = '{"spectrum":[0.75,0.25],"energy":0.25}'
 
 
 @pytest.fixture
@@ -431,19 +434,39 @@ class TestGolden:
 
     @staticmethod
     def _split_ill_conditioned(got: dict, want: dict) -> tuple[str, str]:
-        """Check the two rate outputs whose printed digits exceed their
-        conditioning, and return the rest as text for the digit check.
-
+        """Check the rate output whose printed digits exceed its
+        conditioning, and return the rest as text for the digit check:
         ``argmin_beta`` minimises a ratio that is flat at its minimum, so a
         last-bit change in log Z moves it near sqrt(eps) (seen: 1e-7
-        relative); ``agreement_gap`` is the difference of two rates, so it
-        is only good to the rates' own rounding.
-        """
+        relative). ``agreement_gap`` prints as 0.0 at roundoff size
+        (``TestGapPrintRule``), so it takes the digit check."""
         assert got.keys() == want.keys()
         assert got.pop("argmin_beta") == pytest.approx(want.pop("argmin_beta"), rel=1e-6)
-        ulp = np.spacing(max(want["rate_bisect"], want["rate_monotone"]))
-        assert got.pop("agreement_gap") == pytest.approx(want.pop("agreement_gap"), rel=0, abs=4 * ulp)
         return json.dumps(got, sort_keys=True), json.dumps(want, sort_keys=True)
+
+
+class TestGapPrintRule:
+    """A key comparing two computed quantities prints as 0.0 below 64
+    units of roundoff at its scale; the library keeps the raw float."""
+
+    @pytest.mark.parametrize(
+        "rates, gap, printed",
+        [((0.5, 0.5), 1.11e-16, 0.0), ((0.5, 0.5), 1.5e-14, 1.5e-14), ((1e3, 1e3), 1e-12, 0.0),
+         ((1e3, 1e3), 2e-11, 2e-11), ((0.5, 0.5), math.nan, math.nan)],
+    )
+    def test_agreement_gap(self, rates, gap, printed):
+        got = cli._record(RateResult(*rates, None, gap))["agreement_gap"][0]
+        assert got == printed or math.isnan(got) and math.isnan(printed)
+
+    def test_exact_dilation_prints_zero_distance(self, capsys):
+        rho = '{"matrix":[[[0.7110714825438748,0],[0,0]],[[0,0],[0.2889285174561253,0]]]}'
+        argv = ["dilate", "--hamiltonian", QUBIT, "--unitary", "[[[1,0],[0,0]],[[0,0],[1,0]]]", "--rho", rho,
+                "--sigma", rho, "--m-levels", "[-3,-2,-1,0,1,2,3]", "--delta", "0.1428571438571428"]
+        a = cli._build_parser().parse_args(argv)
+        report = build_energy_preserving_dilation(a.hamiltonian, a.unitary, a.rho, a.sigma, a.m_levels, a.delta)
+        assert 0.0 < report.output_distance < 1e-15
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["output_distance"] == 0.0
 
 
 def _oracle_fmt(value):
@@ -791,6 +814,22 @@ class TestErrorMapping:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["engine", "--beta-cold", "1000", "--beta-less-cold", "800", "--beta-less-hot", "1", "--beta-hot", "0.5"],
+             "flat-curve"),
+            (["exchange", "--rho", SAME_STATE, "--sigma", SAME_STATE, "--beta1", "0", "--beta2", "0"],
+             "infinite-temperature"),
+            (["exchange", "--rho", SAME_STATE, "--sigma", SAME_STATE, "--beta1", "750", "--beta2", "800"], "flat-curve"),
+        ],
+        ids=["engine-on-the-ground-plateau", "exchange-at-beta-zero", "exchange-on-the-ground-plateau"],
+    )
+    def test_reservoir_without_chord_exits_1(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, argv[0], "--hamiltonian", QUBIT, *argv[1:])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"] == error
 
     def test_huge_decimal_exponent_exits_2_quickly(self, capsys):
         start = time.perf_counter()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import mpmath
@@ -16,14 +17,15 @@ from thermocone import (
     cone_point_of,
     dominates,
     edge_monotones,
+    max_entropy_at_energy,
     r_max,
     thermal_point,
 )
-from thermocone.thermal import beta_from_energy
+from thermocone.thermal import beta_cap, beta_from_energy
 
 import frozen_values as fv
 from conftest import random_density_matrix, random_hamiltonian
-from mp_thermal import mp_thermal_point
+from mp_thermal import mp_boundary_root, mp_thermal_point
 
 
 def random_cone_point(rng, h):
@@ -242,22 +244,68 @@ class TestArgminBeta:
 
 
 def boundary_root(h, y_rho, y_sigma, start):
-    """The root of g(r) = n*S_max(E/n) - S along y_rho - r*y_sigma at 40
-    digits, by mpmath's Anderson iteration on a bracket of width 2e-9
-    around ``start``; S_max at each energy comes from a 40-digit secant
-    solve of E(tau_beta) = E/n started from the float inverse."""
+    """``mp_boundary_root`` at 40 digits around the float root ``start``,
+    with the library's plateau rule beyond ``beta_cap``."""
+    y = y_rho - y_sigma.scaled(start)
     with mpmath.workdps(40):
-        def g(r):
-            n = y_rho.size - r * y_sigma.size
-            e = (y_rho.energy - r * y_sigma.energy) / n
-            beta = mpmath.findroot(lambda b: mp_thermal_point(h.levels, b)[1] - e, beta_from_energy(h, float(e)))
-            return n * (mp_thermal_point(h.levels, beta)[0] + beta * e) - (y_rho.entropy - r * y_sigma.entropy)
+        beta = beta_from_energy(h, y.energy / y.size)
+        return float(mp_boundary_root(h.levels, astuple(y_rho), astuple(y_sigma), start, beta, beta_cap(h)))
 
-        width = mpmath.mpf(1e-9) * max(1.0, start)
-        return float(mpmath.findroot(g, (start - width, start + width), solver="anderson"))
+
+def macro_point(h, e, fraction, n):
+    """n copies at energy e per copy and ``fraction`` of S_max(e)."""
+    return ConePoint(n * e, n * fraction * max_entropy_at_energy(h, e), n)
+
+
+def ray_family(family, c):
+    """(h, y_rho, y_sigma) rays of one kind, on levels scaled by c, where
+    the curved facet binds: ``interior`` rays; ``vertical`` rays, E/n the
+    same at both ends (n_sigma = 2 keeps that exact); ``apex`` rays, whose
+    E/n differs by 1e-9..1e-3 of the span, so they leave near the apex;
+    ``band`` rays, whose root lies where E/n is within the band beyond
+    beta_cap above E_min, on levels whose lowest gap is 0.004 of the span."""
+    rng = np.random.default_rng({"interior": 50, "vertical": 51, "apex": 52, "band": 53}[family])
+    base = ((0.0, 2), (0.3, 1), (0.55, 2), (1.0, 3))
+    if family == "band":
+        base = ((0.0, 2), (0.004, 1), (0.5, 1), (1.0, 1))
+    h = HamiltonianSpec(tuple((c * e, g) for e, g in base))
+    rays = []
+    for _ in range(6):
+        e_rho, e_sigma = (c * float(x) for x in rng.uniform(0.1, 0.9, size=2))
+        a, b = sorted(rng.uniform(0.2, 0.9, size=2))
+        if family == "interior":
+            rays.append((macro_point(h, e_rho, b, float(rng.uniform(0.5, 2.0))),
+                         macro_point(h, e_sigma, a / 4.0, float(rng.uniform(0.5, 2.0)))))
+        elif family == "vertical":
+            rays.append((macro_point(h, e_rho, b, 1.0), macro_point(h, e_rho, a / 2.0, 2.0)))
+        elif family == "apex":
+            e_sigma = e_rho + c * float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -3.0))
+            rays.append((macro_point(h, e_rho, b, 1.0), macro_point(h, e_sigma, a / 2.0, 2.0)))
+        else:
+            # rho's entropy puts the root halfway between r_cap, where E/n
+            # is E(beta_cap), and the ground edge
+            e_rho, e_sigma = 0.5 * e_rho, 0.5 * e_sigma + 0.5 * c
+            y_sigma = macro_point(h, e_sigma, a, 1.0)
+            cap = thermal_point(h, beta_cap(h))
+            r = 0.5 * (e_rho / e_sigma + (e_rho - cap.energy) / (e_sigma - cap.energy))
+            rays.append((ConePoint(e_rho, (1.0 - r) * cap.entropy + r * y_sigma.entropy, 1.0), y_sigma))
+    return h, rays
 
 
 class TestBoundarySolve:
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("family", ["interior", "vertical", "apex", "band"])
+    def test_ray_families_match_high_precision_root(self, family, c):
+        h, rays = ray_family(family, c)
+        for y_rho, y_sigma in rays:
+            res = r_max(h, y_rho, y_sigma)
+            y = y_rho - y_sigma.scaled(res.rate_bisect)
+            assert 0.0 < y.size and 0.0 < y.entropy
+            if family == "band":
+                assert h.e_min < y.energy / y.size < thermal_point(h, beta_cap(h)).energy
+            want = boundary_root(h, y_rho, y_sigma, res.rate_bisect)
+            assert res.rate_bisect == pytest.approx(want, rel=1e-12, abs=0), (family, c, y_rho, y_sigma)
+
     def test_matches_high_precision_boundary_root(self):
         rng = np.random.default_rng(44)
         checked = 0
@@ -338,39 +386,53 @@ class TestBoundarySolve:
             assert res.rate_bisect == pytest.approx(0.0, abs=1e-12)
 
     def test_evaluation_counts(self, monkeypatch):
-        """Over every r_max of the benchmark's queries seeds 1-3: at most 8
-        boundary evaluations on average and 24 in one call, and no
-        membership calls beyond the two member checks."""
+        """Over every r_max of the benchmark's queries seeds 1-3: the
+        boundary test makes at most 6 thermal-point evaluations on average
+        and 18 in one call, and no membership calls beyond the two member
+        checks."""
         import thermocone.cone as cone_module
+        import thermocone.thermal as thermal_module
 
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
 
-        counts = {"slack": 0, "contains": 0}
-        slack, contains = cone_module._boundary_slack, cone_module.cone_contains
+        counts = {"point": 0, "contains": 0}
+        inside = []
+        unit_point, boundary_rate = thermal_module._unit_point, cone_module._boundary_rate
 
-        def counted(name, f):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return f(*args, **kwargs)
+        def counted_point(*args):
+            counts["point"] += bool(inside)
+            return unit_point(*args)
 
-            return wrapped
+        def counted_rate(*args):
+            inside.append(True)
+            try:
+                return boundary_rate(*args)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(cone_module, "_boundary_slack", counted("slack", slack))
-        monkeypatch.setattr(cone_module, "cone_contains", counted("contains", contains))
+        def counted_contains(*args, **kwargs):
+            counts["contains"] += 1
+            return contains(*args, **kwargs)
+
+        contains = cone_module.cone_contains
+        for module in (cone_module, thermal_module):
+            monkeypatch.setattr(module, "_unit_point", counted_point)
+        monkeypatch.setattr(cone_module, "_boundary_rate", counted_rate)
+        monkeypatch.setattr(cone_module, "cone_contains", counted_contains)
         evals, members = [], []
         for seed in (1, 2, 3):
             for op in workloads.build_queries(seed, tiny=False).ops:
                 q = op.data
                 h = HamiltonianSpec(tuple(q["levels"]))
                 rho, sigma = (cone_point_of(QuantumState.from_matrix(q[k]), h) for k in ("rho", "sigma"))
-                counts.update(slack=0, contains=0)
+                counts.update(point=0, contains=0)
                 r_max(h, rho, sigma)
-                evals.append(counts["slack"])
+                evals.append(counts["point"])
                 members.append(counts["contains"])
         assert len(evals) == 450
-        assert sum(evals) / len(evals) <= 8
-        assert max(evals) <= 24
+        assert sum(evals) / len(evals) <= 6
+        assert max(evals) <= 18
         assert max(members) <= 2
 
 

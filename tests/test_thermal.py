@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from thermocone import (
 
 import frozen_values as fv
 from conftest import random_hamiltonian
+from mp_thermal import mp_beta_from_energy, mp_beta_from_entropy
 
 BETAS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -217,6 +219,23 @@ class TestInverseProblems:
                 branch = "positive" if beta > 0 else "negative"
                 assert beta_from_entropy(h, tp.entropy, branch) == pytest.approx(beta, abs=1e-8)
 
+    def test_matches_high_precision_inverse(self):
+        """Both inverse solves against 40-digit secant roots for the same
+        float targets, at t = beta*span where a target's rounding moves
+        beta by less than 1e-12 relative."""
+        rng = np.random.default_rng(60)
+        for _ in range(30):
+            h = random_hamiltonian(rng, 2, 6, degenerate=True)
+            for t in (-3.0, -0.5, 0.7, 4.0):
+                tp = thermal_point(h, t / h.span)
+                branch = "positive" if t > 0 else "negative"
+                got_e, got_s = beta_from_energy(h, tp.energy), beta_from_entropy(h, tp.entropy, branch)
+                with mpmath.workdps(40):
+                    want_e = mp_beta_from_energy(h.levels, tp.energy, got_e)
+                    want_s = mp_beta_from_entropy(h.levels, tp.entropy, got_s)
+                assert got_e == pytest.approx(float(want_e), rel=1e-12, abs=0)
+                assert got_s == pytest.approx(float(want_s), rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
     def test_scale_free(self, c):
         # E -> c*E maps beta -> beta/c, so c*beta(cE) = beta(E) in any energy unit: to
@@ -271,7 +290,10 @@ def small_gap_hamiltonian(rng: np.random.Generator) -> HamiltonianSpec:
 
 class TestInverseEvaluationCount:
     """Newton steps on the tangent relations keep every inverse solve,
-    the hard cases included, within 12 evaluations of the thermal moments."""
+    the hard cases included, within 12 evaluations of the thermal moments.
+    Each solve runs on a fresh ``HamiltonianSpec``, so the moments at
+    t = 0 and at the cap, which a spec keeps after its first solve, are
+    counted too."""
 
     MAX_EVALS = 12
 
@@ -289,11 +311,49 @@ class TestInverseEvaluationCount:
             small_gap_hamiltonian(rng) for _ in range(20)
         ]
 
-    def solve(self, calls, fn, *args):
+    def solve(self, calls, fn, h, *args):
         calls.clear()
-        beta = fn(*args)
-        assert 0 < len(calls) <= self.MAX_EVALS, (args, len(calls))
+        beta = fn(HamiltonianSpec(h.levels), *args)
+        assert 0 < len(calls) <= self.MAX_EVALS, (h, args, len(calls))
         return beta
+
+    def test_warm_spec_skips_the_cached_ends(self, calls):
+        """A solve on a spec whose ends on that side of beta = 0 a solve
+        for another target has evaluated makes the cold count less those
+        ends (t = 0, and the cap unless the target is met at t = 0), and
+        returns the same beta, bit for bit."""
+        for h in self.hamiltonians():
+            span = h.e_max - h.e_min
+            for sign in (1.0, -1.0):
+                branch = "positive" if sign > 0 else "negative"
+                near, far = (thermal_point(h, sign * t / span) for t in (0.5, 3.0))
+                solves = [(beta_from_energy, (near.energy,), (far.energy,)),
+                          (beta_from_entropy, (near.entropy, branch), (far.entropy, branch))]
+                if sign < 0:  # E_mix folds onto the negative side and is met at t = 0
+                    solves.append((beta_from_energy, (h.mixed_energy,), (far.energy,)))
+                for fn, args, other in solves:
+                    calls.clear()
+                    cold = fn(HamiltonianSpec(h.levels), *args)
+                    cold_calls = len(calls)
+                    spec = HamiltonianSpec(h.levels)
+                    fn(spec, *other)
+                    calls.clear()
+                    warm = fn(spec, *args)
+                    assert len(calls) == cold_calls - (1 if cold == 0.0 else 2), (h, fn, args)
+                    assert math.copysign(1.0, warm) == math.copysign(1.0, cold) and warm == cold
+
+    def test_solved_betas_are_kept_per_spec(self, calls):
+        """A repeated target on one spec is not solved again until
+        ``_SOLVED_KEPT`` other targets have followed it."""
+        h = HamiltonianSpec(((0.0, 1), (0.3, 2), (1.0, 1)))
+        energies = [thermal_point(h, beta).energy for beta in np.linspace(0.1, 5.0, thermal._SOLVED_KEPT + 1)]
+        first = beta_from_energy(h, energies[0])
+        calls.clear()
+        assert beta_from_energy(h, energies[0]) == first and not calls
+        for energy in energies[1:]:
+            beta_from_energy(h, energy)
+        calls.clear()
+        assert beta_from_energy(h, energies[0]) == first and calls
 
     def test_thermal_points(self, calls):
         for h in self.hamiltonians():
